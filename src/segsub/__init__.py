@@ -5,11 +5,10 @@ from .core import (
     Segmentation,
     as_text,
     check_budget,
-    is_segmental_subsequence,
     verify_embedding,
 )
 from .indseglcs import indseglcs, segmentation_score, side_config
-from .lce import LcsufIndex, build as build_lcsuf_index
+from .lce import LcsufIndex
 from .oracle import (
     OracleLimitError,
     episode_bruteforce,
@@ -42,7 +41,6 @@ __all__ = [
     "SolveStats",
     "as_text",
     "build_episode_reduction",
-    "build_lcsuf_index",
     "check_budget",
     "check_reduction_equivalence",
     "compute_lpf",
@@ -50,7 +48,6 @@ __all__ = [
     "episode_bruteforce",
     "indseglcs",
     "indseglcs_bruteforce",
-    "is_segmental_subsequence",
     "min_segments",
     "min_segments_bruteforce",
     "seg2_linear",

@@ -80,6 +80,7 @@ def _cmd_seglcs(args) -> int:
     if args.dump_tables and args.algo != "diagonal":
         raise ValueError("--dump-tables requires the diagonal algorithm")
     payload: dict = {}
+    run = None
     if args.witness:
         length, seg, emb1, emb2 = seglcs.slcs_witness(t1, t2, f)
         payload["length"] = length
@@ -95,13 +96,14 @@ def _cmd_seglcs(args) -> int:
     elif args.dump_tables:
         run = seglcs.diagonal_run(t1, t2, f, keep_tables=True)
         payload["length"] = run.max_v_idx[run.f]
-        payload["tables"] = [
-            [h, i - s, s, value if value < run.infinity else "inf"]
-            for h, i, s, value in run.cells()
-        ]
     else:
         payload["length"] = seglcs.slcs_diagonal(t1, t2, f)
     if args.json:
+        if run is not None:
+            payload["tables"] = [
+                [h, i - s, s, value if value < run.infinity else "inf"]
+                for h, i, s, value in run.cells()
+            ]
         _emit_json(payload)
         return 0
     _emit(str(payload["length"]))
@@ -109,9 +111,8 @@ def _cmd_seglcs(args) -> int:
         w = payload["witness"]
         for segment, s1, s2 in zip(w["segments"], w["starts1"], w["starts2"]):
             _emit(f"{segment}\t{s1}\t{s2}")
-    if "tables" in payload:
-        for h, diag, s, value in payload["tables"]:
-            _emit(f"{h} {diag} {s} {value}")
+    if run is not None:
+        sys.stdout.write(seglcs.dump_diagonal_tables(run))
     return 0
 
 
@@ -164,9 +165,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_difftest(args) -> int:
+    fault = args.inject_fault
     report = harness.differential_run(
-        args.count, max_len=args.max_len, alphabet=args.alphabet,
-        seed=args.seed, fault=args.inject_fault,
+        args.count, max_len=args.max_len, alphabet=args.alphabet, seed=args.seed,
+        seglcs_solvers=harness.faulty_solvers(fault) if fault else harness.SEGLCS_SOLVERS,
     )
     if args.json:
         _emit_json(
@@ -229,13 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit a single JSON object instead of plain text",
     )
 
+    # the flag may come before or after the subcommand; SUPPRESS keeps a
+    # subcommand that lacks it from overwriting one given before it
     parser = argparse.ArgumentParser(
-        prog="segsub",
+        prog="segsub", parents=[common],
         description="Segment-budgeted subsequence matching and segmental LCS.",
-    )
-    parser.add_argument(
-        "--json", action="store_true", default=False,
-        help="emit a single JSON object instead of plain text",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=10)
     p.add_argument("--alphabet", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", choices=("clamp-off-by-one",),
+    p.add_argument("--inject-fault", choices=harness.FAULTS,
                    default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_difftest)
 
@@ -317,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.json = getattr(args, "json", False)
     try:
         return args.func(args)
     except OracleLimitError as exc:

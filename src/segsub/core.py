@@ -93,11 +93,3 @@ def verify_embedding(t: bytes | str, e: Embedding) -> bool:
         cursor = end
     return True
 
-
-def is_segmental_subsequence(t: bytes | str, p: bytes | str, f: int) -> bool:
-    """Decide whether ``p`` embeds into ``t`` with at most ``f`` segments."""
-    check_budget(f)
-    from . import segmatch
-
-    needed = segmatch.min_segments(as_text(t), as_text(p))
-    return needed is not None and needed <= f

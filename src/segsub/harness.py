@@ -10,12 +10,18 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from . import oracle, segmatch, seglcs
-from .core import is_segmental_subsequence
 from .indseglcs import indseglcs
 
 KINDS = ("sege", "seglcs", "indseglcs")
+
+SeglcsSolver = Callable[[bytes, bytes, int], int]
+
+SEGLCS_SOLVERS = {"baseline": seglcs.slcs_baseline, "diagonal": seglcs.slcs_diagonal}
+
+FAULTS = ("text-off-by-one",)
 
 CSV_COLUMNS = ("algorithm", "n1", "n2", "f", "ell", "wall_time", "cell_visits")
 
@@ -105,22 +111,32 @@ class DifferentialReport:
         )
 
 
+def _diagonal_text_off_by_one(t1: bytes, t2: bytes, f: int) -> int:
+    # a deliberate fault: the diagonal solver never sees the last symbol of t1
+    return seglcs.slcs_diagonal(t1[:-1], t2, f)
+
+
+def faulty_solvers(fault: str) -> dict[str, SeglcsSolver]:
+    """The seglcs solvers with the diagonal one replaced by a known fault,
+    for validating that ``differential_run`` reports mismatches."""
+    if fault not in FAULTS:
+        raise ValueError(f"unknown fault mode {fault!r}")
+    return {**SEGLCS_SOLVERS, "diagonal": _diagonal_text_off_by_one}
+
+
 def differential_run(
     count: int,
     max_len: int = 10,
     alphabet: int = 3,
     seed: int = 0,
-    fault: str | None = None,
+    seglcs_solvers: Mapping[str, SeglcsSolver] = SEGLCS_SOLVERS,
 ) -> DifferentialReport:
     """Compare every solver against its brute-force oracle on random inputs.
 
     Each case checks the matching family; the heavier common-subsequence
-    families alternate between cases. ``fault`` = "clamp-off-by-one" skews
-    the diagonal solver's clamp, for validating that mismatches are caught.
+    families alternate between cases. ``seglcs_solvers`` maps a name to each
+    solver checked on the seglcs cases.
     """
-    if fault not in (None, "clamp-off-by-one"):
-        raise ValueError(f"unknown fault mode {fault!r}")
-    skew = -1 if fault == "clamp-off-by-one" else 0
     rng = random.Random(seed)
     report = DifferentialReport(cases=count)
 
@@ -146,9 +162,6 @@ def differential_run(
         for f in (1, 2, rng.randint(1, max_len + 2)):
             expected = truth is not None and truth <= f
             record("sege", pair, (f,), "dp", expected, segmatch.sege(t, p, f, "dp"))
-            record(
-                "sege", pair, (f,), "facade", expected, is_segmental_subsequence(t, p, f)
-            )
             if f <= 2:
                 record(
                     "sege", pair, (f,), "kmp2", expected, segmatch.sege(t, p, f, "kmp2")
@@ -164,14 +177,8 @@ def differential_run(
             t1, t2 = inst.texts
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
             expected = oracle.slcs_bruteforce(t1, t2, f)
-            record(
-                "seglcs", inst.texts, (f,), "baseline",
-                expected, seglcs.slcs_baseline(t1, t2, f),
-            )
-            record(
-                "seglcs", inst.texts, (f,), "diagonal",
-                expected, seglcs.slcs_diagonal(t1, t2, f, _clamp_skew=skew),
-            )
+            for name, solver in seglcs_solvers.items():
+                record("seglcs", inst.texts, (f,), name, expected, solver(t1, t2, f))
         else:
             inst = generate_instance(
                 "indseglcs",
@@ -214,12 +221,8 @@ def benchmark(
     """Measure both solvers on one instance family; medians over ``reps``."""
     if family not in ("similarity", "uniform"):
         raise ValueError(f"unknown benchmark family {family!r}")
-    solvers = {
-        "baseline": seglcs.slcs_baseline,
-        "diagonal": seglcs.slcs_diagonal,
-    }
     for name in algorithms:
-        if name not in solvers:
+        if name not in SEGLCS_SOLVERS:
             raise ValueError(f"unknown algorithm {name!r}")
     rows = []
     for idx, n in enumerate(sorted(sizes)):
@@ -232,7 +235,7 @@ def benchmark(
         )
         t1, t2 = inst.texts
         for name in algorithms:
-            solver = solvers[name]
+            solver = SEGLCS_SOLVERS[name]
             times = []
             value = 0
             visits = 0

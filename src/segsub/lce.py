@@ -139,7 +139,3 @@ class LcsufIndex:
             r1, r2 = r2, r1
         return self._rmq.query(r1, r2 - 1)
 
-
-def build(t1: bytes | str, t2: bytes | str, mode: str = "auto") -> LcsufIndex:
-    """Build an lcsuf index over two texts."""
-    return LcsufIndex(t1, t2, mode=mode)

@@ -14,6 +14,7 @@ answer; when the solution is long it touches only a sliver of each table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -36,19 +37,25 @@ def _clamp_budget(f: int, shorter: int) -> int:
     return max(1, min(f, shorter))
 
 
-def _next_chain_layer(prev: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One h-layer of the prefix table from the previous layer."""
+def _chain_layers(x: np.ndarray, f: int) -> Iterator[np.ndarray]:
+    """Yield the prefix-table layers C[h] for h = 0..f from the common-suffix
+    table ``x``; only the previous layer is kept between steps."""
     n1, n2 = x.shape[0] - 1, x.shape[1] - 1
-    cur = np.zeros_like(prev)
     cols = np.arange(1, n2 + 1, dtype=np.int32)
-    for lo in range(1, n1 + 1, _GATHER_BLOCK):
-        hi = min(lo + _GATHER_BLOCK, n1 + 1)
-        xb = x[lo:hi, 1:]
-        rows = np.arange(lo, hi, dtype=np.int32)[:, None]
-        cur[lo:hi, 1:] = xb + prev[rows - xb, cols - xb]
-    np.maximum.accumulate(cur, axis=0, out=cur)
-    np.maximum.accumulate(cur, axis=1, out=cur)
-    return cur
+    # np.zeros leaves C[0]'s pages untouched (zeros_like would write them)
+    prev = np.zeros(x.shape, dtype=x.dtype)
+    yield prev
+    for _ in range(f):
+        cur = np.zeros_like(x)
+        for lo in range(1, n1 + 1, _GATHER_BLOCK):
+            hi = min(lo + _GATHER_BLOCK, n1 + 1)
+            xb = x[lo:hi, 1:]
+            rows = np.arange(lo, hi, dtype=np.int32)[:, None]
+            cur[lo:hi, 1:] = xb + prev[rows - xb, cols - xb]
+        np.maximum.accumulate(cur, axis=0, out=cur)
+        np.maximum.accumulate(cur, axis=1, out=cur)
+        yield cur
+        prev = cur
 
 
 def slcs_baseline(
@@ -61,24 +68,17 @@ def slcs_baseline(
     if n1 == 0 or n2 == 0:
         return 0
     f = _clamp_budget(f, min(n1, n2))
-    x = lcsuf_matrix(t1, t2)
-    layer = np.zeros((n1 + 1, n2 + 1), dtype=np.int32)
-    for _ in range(f):
-        layer = _next_chain_layer(layer, x)
-        if stats is not None:
-            stats.cell_visits += n1 * n2
+    for layer in _chain_layers(lcsuf_matrix(t1, t2), f):
+        pass
+    if stats is not None:
+        stats.cell_visits += f * n1 * n2
     return int(layer[n1, n2])
 
 
 def chain_table(t1: bytes | str, t2: bytes | str, f: int) -> list[np.ndarray]:
     """All layers C[h][i, j] for h = 0..f (no budget clamping; test helper)."""
     check_budget(f)
-    t1, t2 = as_text(t1), as_text(t2)
-    x = lcsuf_matrix(t1, t2)
-    layers = [np.zeros((len(t1) + 1, len(t2) + 1), dtype=np.int32)]
-    for _ in range(f):
-        layers.append(_next_chain_layer(layers[-1], x))
-    return layers
+    return list(_chain_layers(lcsuf_matrix(as_text(t1), as_text(t2)), f))
 
 
 def slcs_witness(
@@ -94,9 +94,7 @@ def slcs_witness(
     n1, n2 = len(t1), len(t2)
     f_used = _clamp_budget(f, min(n1, n2)) if n1 and n2 else 1
     x = lcsuf_matrix(t1, t2)
-    layers = [np.zeros((n1 + 1, n2 + 1), dtype=np.int32)]
-    for _ in range(f_used):
-        layers.append(_next_chain_layer(layers[-1], x))
+    layers = list(_chain_layers(x, f_used))
     length = int(layers[f_used][n1, n2])
 
     segments: list[bytes] = []
@@ -161,13 +159,8 @@ def diagonal_run(
     f: int,
     stats: SolveStats | None = None,
     keep_tables: bool = False,
-    _clamp_skew: int = 0,
 ) -> DiagonalRun:
-    """Run the diagonal algorithm; the shorter text drives the diagonals.
-
-    ``_clamp_skew`` is a test-only fault hook that offsets the clamp of the
-    common-suffix length; leave it at 0.
-    """
+    """Run the diagonal algorithm; the shorter text drives the diagonals."""
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
     if len(t1) > len(t2):
@@ -205,8 +198,8 @@ def diagonal_run(
             while j <= n2:
                 visits += 1
                 x = query(i, j)
-                if x > s + _clamp_skew:
-                    x = s + _clamp_skew
+                if x > s:
+                    x = s
                 if j == lookup(h, diag - 1, s) or (
                     x > 0 and j >= x + lookup(h - 1, diag, s - x)
                 ):
@@ -242,10 +235,9 @@ def slcs_diagonal(
     t2: bytes | str,
     f: int,
     stats: SolveStats | None = None,
-    _clamp_skew: int = 0,
 ) -> int:
     """Segmental LCS length via the sparse diagonal tables."""
-    run = diagonal_run(t1, t2, f, stats=stats, _clamp_skew=_clamp_skew)
+    run = diagonal_run(t1, t2, f, stats=stats)
     return run.max_v_idx[run.f]
 
 

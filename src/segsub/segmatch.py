@@ -8,9 +8,36 @@ breakpoints of the running-maximum prefix array between them.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
+import numpy as np
+
 from .core import as_text, check_budget
 
 ALGORITHMS = ("auto", "dp", "kmp2")
+
+
+def _cost_rows(t: bytes, p: bytes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the rows (D[i], E[i]) of the block-deletion tables for i = 0..n.
+
+    D[i][j] = min(D[i-1][j], E[i-1][j] + 1) pays for opening a deleted block;
+    E[i][j] = min(E[i-1][j-1], D[i][j]) when t[i] == p[j], else D[i][j].
+    Column 0 is 0 (free prefix deletion); row 0 is ``inf`` = n+m+1 past it.
+    Each row depends only on the previous one, so it is computed whole.
+    """
+    n, m = len(t), len(p)
+    d = np.full(m + 1, n + m + 1, dtype=np.int64)
+    d[0] = 0
+    e = d.copy()
+    yield d, e
+    pattern = np.frombuffer(p, dtype=np.uint8)
+    matches = {c: pattern == c for c in set(t)}
+    for c in t:
+        # D stays <= inf, so an unreachable E' (= inf) never wins the minimum
+        d = np.minimum(d, e + 1)
+        e_prev, e = e, d.copy()
+        np.minimum(e_prev[:-1], d[1:], out=e[1:], where=matches[c])
+        yield d, e
 
 
 def min_segments(t: bytes | str, p: bytes | str) -> int | None:
@@ -21,51 +48,16 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     each interior block. None when ``p`` is not a subsequence of ``t``.
     """
     t, p = as_text(t), as_text(p)
-    n, m = len(t), len(p)
-    if m == 0:
-        return 1
-    inf = n + m + 1
-    d_prev = [0] + [inf] * m
-    e_prev = [0] + [inf] * m
-    best = inf
-    for i in range(1, n + 1):
-        ti = t[i - 1]
-        d_cur = [0] * (m + 1)
-        e_cur = [0] * (m + 1)
-        for j in range(1, m + 1):
-            opened = e_prev[j] + 1 if e_prev[j] < inf else inf
-            d = d_prev[j] if d_prev[j] < opened else opened
-            d_cur[j] = d
-            if ti == p[j - 1] and e_prev[j - 1] < d:
-                e_cur[j] = e_prev[j - 1]
-            else:
-                e_cur[j] = d
-        if e_cur[m] < best:
-            best = e_cur[m]
-        d_prev, e_prev = d_cur, e_cur
-    return best + 1 if best < inf else None
+    best = min(int(e[-1]) for _, e in _cost_rows(t, p))
+    return best + 1 if best < len(t) + len(p) + 1 else None
 
 
 def min_segments_tables(
     t: bytes | str, p: bytes | str
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Full D and E cost tables (debug mode; the solver keeps two rows)."""
-    t, p = as_text(t), as_text(p)
-    n, m = len(t), len(p)
-    inf = n + m + 1
-    D = [[0] * (m + 1) for _ in range(n + 1)]
-    E = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(1, m + 1):
-        D[0][j] = E[0][j] = inf
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            opened = E[i - 1][j] + 1 if E[i - 1][j] < inf else inf
-            D[i][j] = min(D[i - 1][j], opened)
-            if t[i - 1] == p[j - 1]:
-                E[i][j] = min(E[i - 1][j - 1], D[i][j])
-            else:
-                E[i][j] = D[i][j]
-    return D, E
+    rows = list(_cost_rows(as_text(t), as_text(p)))
+    return [d.tolist() for d, _ in rows], [e.tolist() for _, e in rows]
 
 
 def format_cost_tables(D: list[list[int]], E: list[list[int]]) -> str:
@@ -87,57 +79,43 @@ class KmpAutomaton:
 
     def __init__(self, pattern: bytes | str):
         self.pattern = as_text(pattern)
-        m = len(self.pattern)
-        fail = [0] * (m + 1)
-        k = 0
-        for q in range(1, m):
-            c = self.pattern[q]
-            while k and self.pattern[k] != c:
-                k = fail[k]
-            if self.pattern[k] == c:
-                k += 1
-            fail[q + 1] = k
-        self.fail = fail
+        # fail[q + 1] is the state reached on p[1..q]; the scan reads only
+        # entries it has already appended
+        self.fail = [0, 0]
+        self.fail.extend(self.states(self.pattern[1:]))
 
-    def step(self, state: int, symbol: int) -> int:
-        pattern = self.pattern
+    def states(self, text: Iterable[int]) -> Iterator[int]:
+        """Yield the automaton state after each symbol of ``text``."""
+        pattern, fail = self.pattern, self.fail
         m = len(pattern)
         if m == 0:
-            return 0
-        if state == m:
-            state = self.fail[m]
-        while state and pattern[state] != symbol:
-            state = self.fail[state]
-        return state + 1 if pattern[state] == symbol else 0
+            for _ in text:
+                yield 0
+            return
+        state = 0
+        for c in text:
+            if state == m:
+                state = fail[m]
+            while state and pattern[state] != c:
+                state = fail[state]
+            if pattern[state] == c:
+                state += 1
+            yield state
 
 
 def compute_lpf(t: bytes | str, p: bytes | str) -> list[int]:
     """lpf[i]: length of the longest prefix of ``p`` ending at text position i
     (returned 0-based, value for position i at index i-1)."""
-    t, p = as_text(t), as_text(p)
-    auto = KmpAutomaton(p)
-    out = []
-    state = 0
-    for c in t:
-        state = auto.step(state, c)
-        out.append(state)
-    return out
+    return list(KmpAutomaton(p).states(as_text(t)))
 
 
 def compute_lsf(t: bytes | str, p: bytes | str) -> list[int]:
     """lsf[i]: length of the longest suffix of ``p`` starting at position i,
     streamed right to left through the automaton of the reversed pattern."""
-    t, p = as_text(t), as_text(p)
-    auto = KmpAutomaton(p[::-1])
-    out = [0] * len(t)
-    state = 0
-    for i in range(len(t) - 1, -1, -1):
-        state = auto.step(state, t[i])
-        out[i] = state
-    return out
+    return list(KmpAutomaton(as_text(p)[::-1]).states(reversed(as_text(t))))[::-1]
 
 
-def llpf_breakpoints(lpf: list[int]) -> list[tuple[int, int]]:
+def llpf_breakpoints(lpf: Iterable[int]) -> list[tuple[int, int]]:
     """(position, value) pairs where the running maximum of lpf strictly
     increases; at most |p|+1 entries since values range over 0..|p|."""
     breakpoints = []
@@ -171,30 +149,16 @@ def seg2_linear(t: bytes | str, p: bytes | str) -> bool:
     """
     t, p = as_text(t), as_text(p)
     n, m = len(t), len(p)
-    if m == 0:
-        return True
-    if n == 0:
-        return False
-    auto = KmpAutomaton(p)
-    breakpoints: list[tuple[int, int]] = []
-    top = 0
-    state = 0
-    for idx in range(1, n + 1):
-        state = auto.step(state, t[idx - 1])
-        if state > top:
-            top = state
-            breakpoints.append((idx, state))
-    if top >= m:  # the pattern occurs as a factor
-        return True
-    reverse_auto = KmpAutomaton(p[::-1])
-    state = 0
+    breakpoints = llpf_breakpoints(KmpAutomaton(p).states(t))
+    if (breakpoints[-1][1] if breakpoints else 0) >= m:
+        return True  # the pattern occurs as a factor
     k = len(breakpoints) - 1
-    for i in range(n, 1, -1):
-        state = reverse_auto.step(state, t[i - 1])
+    suffixes = KmpAutomaton(p[::-1]).states(reversed(t))
+    for i, suffix in zip(range(n, 1, -1), suffixes):
         while k >= 0 and breakpoints[k][0] > i - 1:
             k -= 1
-        left = breakpoints[k][1] if k >= 0 else 0
-        if left + state >= m:
+        prefix = breakpoints[k][1] if k >= 0 else 0
+        if prefix + suffix >= m:
             return True
     return False
 

@@ -148,7 +148,7 @@ def test_difftest_clean(capsys):
 
 def test_difftest_fault_exit(capsys):
     code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2",
-                       "--inject-fault", "clamp-off-by-one")
+                       "--inject-fault", "text-off-by-one")
     assert code == 1
     assert "MISMATCH" in out
 

@@ -1,4 +1,4 @@
-"""Tests for the shared domain types and the membership facade."""
+"""Tests for the shared domain types and the package-level membership call."""
 
 import random
 
@@ -11,9 +11,10 @@ from segsub.core import (
     Segmentation,
     as_text,
     check_budget,
-    is_segmental_subsequence,
     verify_embedding,
 )
+
+from segsub import sege
 
 from helpers import greedy_subsequence
 
@@ -80,21 +81,23 @@ def test_budget_rejected(bad):
 
 
 class TestFacade:
+    """``segsub.sege``, the package's membership entry point."""
+
     def test_table1_instance(self):
-        assert is_segmental_subsequence(TABLE1_T, TABLE1_P, 2)
-        assert not is_segmental_subsequence(TABLE1_T, TABLE1_P, 1)
+        assert sege(TABLE1_T, TABLE1_P, 2)
+        assert not sege(TABLE1_T, TABLE1_P, 1)
 
     def test_identity_single_segment(self):
-        assert is_segmental_subsequence(b"xyz", b"xyz", 1)
+        assert sege(b"xyz", b"xyz", 1)
 
     def test_empty_pattern(self):
         for f in (1, 2, 5):
-            assert is_segmental_subsequence(b"abc", b"", f)
-            assert is_segmental_subsequence(b"", b"", f)
+            assert sege(b"abc", b"", f)
+            assert sege(b"", b"", f)
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):
-            is_segmental_subsequence(b"a", b"a", 0)
+            sege(b"a", b"a", 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,8 +107,8 @@ class TestFacade:
     f=st.integers(min_value=1, max_value=8),
 )
 def test_monotone_in_budget(t, p, f):
-    if is_segmental_subsequence(t, p, f):
-        assert is_segmental_subsequence(t, p, f + 1)
+    if sege(t, p, f):
+        assert sege(t, p, f + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,8 +117,8 @@ def test_monotone_in_budget(t, p, f):
     p=st.binary(min_size=1, max_size=7).map(lambda b: bytes(97 + c % 3 for c in b)),
 )
 def test_extreme_budgets(t, p):
-    assert is_segmental_subsequence(t, p, 1) == (p in t)
-    assert is_segmental_subsequence(t, p, len(p)) == greedy_subsequence(t, p)
+    assert sege(t, p, 1) == (p in t)
+    assert sege(t, p, len(p)) == greedy_subsequence(t, p)
 
 
 def test_random_witnesses_are_members():
@@ -136,4 +139,4 @@ def test_random_witnesses_are_members():
             segments, starts = [b""], [1]
         e = Embedding(Segmentation(tuple(segments)), tuple(starts))
         assert verify_embedding(t, e)
-        assert is_segmental_subsequence(t, e.segmentation.pattern, len(segments))
+        assert sege(t, e.segmentation.pattern, len(segments))

@@ -6,6 +6,7 @@ from segsub.harness import (
     CSV_COLUMNS,
     benchmark,
     differential_run,
+    faulty_solvers,
     generate_instance,
     rows_to_csv,
 )
@@ -77,14 +78,14 @@ class TestDifferential:
 
     def test_injected_fault_is_detected(self):
         report = differential_run(
-            200, max_len=9, seed=42, fault="clamp-off-by-one"
+            200, max_len=9, seed=42, seglcs_solvers=faulty_solvers("text-off-by-one")
         )
         assert not report.ok
         assert all(m.algorithm == "diagonal" for m in report.mismatches)
 
     def test_unknown_fault(self):
         with pytest.raises(ValueError):
-            differential_run(1, fault="gremlins")
+            faulty_solvers("gremlins")
 
 
 class TestBenchmark:

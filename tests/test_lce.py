@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from segsub.lce import LcsufIndex, build, lcsuf_matrix
+from segsub.lce import LcsufIndex, lcsuf_matrix
 
 
 def brute_lcsuf(t1: bytes, t2: bytes, i: int, j: int) -> int:
@@ -15,38 +15,38 @@ def brute_lcsuf(t1: bytes, t2: bytes, i: int, j: int) -> int:
 
 
 def test_worked_example():
-    index = build(b"abcabbac", b"bcbcbbca")
+    index = LcsufIndex(b"abcabbac", b"bcbcbbca")
     assert index.query(6, 6) == 2
 
 
 def test_derived_cells():
-    index = build(b"abcabbac", b"bcbcbbca")
+    index = LcsufIndex(b"abcabbac", b"bcbcbbca")
     assert index.query(8, 8) == 0  # ...ac vs ...ca
     assert index.query(6, 5) == 1  # abcabb vs bcbcb share "b"
 
 
 def test_identical_texts():
     for mode in ("quadratic", "suffix-array"):
-        index = build(b"abcde", b"abcde", mode=mode)
+        index = LcsufIndex(b"abcde", b"abcde", mode=mode)
         assert index.query(5, 5) == 5
         assert index.query(3, 3) == 3
 
 
 def test_disjoint_alphabets():
-    index = build(b"aaa", b"bbb")
+    index = LcsufIndex(b"aaa", b"bbb")
     for i in range(4):
         for j in range(4):
             assert index.query(i, j) == 0
 
 
 def test_zero_prefix():
-    index = build(b"ab", b"ab")
+    index = LcsufIndex(b"ab", b"ab")
     assert index.query(0, 2) == 0
     assert index.query(2, 0) == 0
 
 
 def test_out_of_range_rejected():
-    index = build(b"ab", b"abc")
+    index = LcsufIndex(b"ab", b"abc")
     with pytest.raises(IndexError):
         index.query(3, 0)
     with pytest.raises(IndexError):
@@ -57,17 +57,17 @@ def test_out_of_range_rejected():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        build(b"a", b"a", mode="tree")
+        LcsufIndex(b"a", b"a", mode="tree")
 
 
 def test_auto_mode_selection():
-    assert build(b"a" * 10, b"a" * 10).mode == "quadratic"
-    assert build(b"a" * 1100, b"a" * 1100).mode == "suffix-array"
+    assert LcsufIndex(b"a" * 10, b"a" * 10).mode == "quadratic"
+    assert LcsufIndex(b"a" * 1100, b"a" * 1100).mode == "suffix-array"
 
 
 def test_empty_texts():
     for mode in ("quadratic", "suffix-array"):
-        index = build(b"", b"abc", mode=mode)
+        index = LcsufIndex(b"", b"abc", mode=mode)
         assert index.query(0, 3) == 0
 
 
@@ -104,7 +104,7 @@ def test_query_properties():
         n1, n2 = rng.randint(1, 25), rng.randint(1, 25)
         t1 = bytes(97 + rng.randrange(2) for _ in range(n1))
         t2 = bytes(97 + rng.randrange(2) for _ in range(n2))
-        index = build(t1, t2, mode="suffix-array")
+        index = LcsufIndex(t1, t2, mode="suffix-array")
         for i in range(n1 + 1):
             for j in range(n2 + 1):
                 q = index.query(i, j)

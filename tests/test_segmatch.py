@@ -91,17 +91,10 @@ class TestBorderArrays:
 
 class TestKmpAutomaton:
     def test_restart_after_full_match(self):
-        auto = KmpAutomaton(b"aa")
-        state = 0
-        out = []
-        for c in b"aaaa":
-            state = auto.step(state, c)
-            out.append(state)
-        assert out == [1, 2, 2, 2]
+        assert list(KmpAutomaton(b"aa").states(b"aaaa")) == [1, 2, 2, 2]
 
     def test_empty_pattern_stays_at_zero(self):
-        auto = KmpAutomaton(b"")
-        assert auto.step(0, ord("a")) == 0
+        assert list(KmpAutomaton(b"").states(b"a")) == [0]
 
 
 class TestMinSegments:
@@ -138,6 +131,13 @@ class TestTablesDump:
         assert [row[0] for row in D] == [0, 0, 0, 0]
         assert D[0][1:] == [inf, inf]
         assert min(E[i][2] for i in range(4)) == 1  # d = 1, so two segments
+
+        # the debug tables come from the solver's rows: same minimum
+        rng = random.Random(9)
+        t = bytes(97 + rng.randrange(3) for _ in range(14))
+        p = bytes(c for c in t if rng.random() < 0.6)  # a subsequence of t
+        D, E = min_segments_tables(t, p)
+        assert min(row[len(p)] for row in E) + 1 == min_segments(t, p)
 
     def test_format(self):
         D, E = min_segments_tables(b"ab", b"b")
