@@ -79,6 +79,10 @@ def _cmd_seglcs(args) -> int:
     f = check_budget(args.segments)
     if args.dump_tables and args.algo != "diagonal":
         raise ValueError("--dump-tables requires the diagonal algorithm")
+    if args.witness and args.dump_tables:
+        raise ValueError("--witness and --dump-tables cannot be combined")
+    if args.witness and args.algo == "oracle":
+        raise ValueError("--witness is not available with the oracle algorithm")
     payload: dict = {}
     run = None
     if args.witness:

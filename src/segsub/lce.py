@@ -35,71 +35,68 @@ def lcsuf_matrix(t1: bytes, t2: bytes) -> np.ndarray:
     return x
 
 
-def _suffix_array(s: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling over dense ranks."""
+def _suffix_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix array and its inverse (the rank of each suffix) by prefix
+    doubling: each round sorts one dense key rank * (n + 1) + second."""
     n = len(s)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     order = np.argsort(s, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.cumsum(np.r_[0, np.diff(s[order]) != 0])
     k = 1
     while k < n and rank[order[-1]] != n - 1:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        changed = (np.diff(rank[order]) != 0) | (np.diff(second[order]) != 0)
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(np.r_[0, changed])
-        rank = new_rank
+        # the pair (rank at p, 1 + rank at p + k, or 0 past the end) as one key
+        key = rank * (n + 1)
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        rank[order] = np.cumsum(np.r_[0, np.diff(key[order]) != 0])
         k *= 2
-    return order
+    # the ranks are now distinct, so they are the inverse of the order
+    return order, rank
 
 
-def _lcp_array(s: list[int], sa: np.ndarray) -> tuple[list[int], list[int]]:
+def _lcp_array(s: list[int], sa: list[int], inv: list[int]) -> list[int]:
     """Kasai's algorithm; lcp[r] compares suffixes sa[r] and sa[r+1]."""
     n = len(sa)
-    inv = [0] * n
-    for r, pos in enumerate(sa.tolist()):
-        inv[pos] = r
+    s = s + [-1]  # an end marker unlike every symbol stops each comparison
     lcp = [0] * max(0, n - 1)
     k = 0
-    for i in range(n):
-        r = inv[i]
+    for i, r in enumerate(inv):
         if r == n - 1:
             k = 0
             continue
-        j = int(sa[r + 1])
-        while i + k < n and j + k < n and s[i + k] == s[j + k]:
+        j = sa[r + 1]
+        while s[i + k] == s[j + k]:
             k += 1
         lcp[r] = k
         if k:
             k -= 1
-    return lcp, inv
+    return lcp
 
 
-class _SparseMin:
-    """Static range-minimum structure with O(1) queries."""
-
-    def __init__(self, values: list[int]):
-        level = np.asarray(values, dtype=np.int64)
-        n = len(level)
-        self._levels = [level]
-        size = 1
-        while 2 * size <= n:
-            level = np.minimum(level[:-size], level[size:])
-            self._levels.append(level)
-            size *= 2
-
-    def query(self, lo: int, hi: int) -> int:
-        # minimum of values[lo..hi], inclusive; caller guarantees lo <= hi
-        k = (hi - lo + 1).bit_length() - 1
-        level = self._levels[k]
-        return int(min(level[lo], level[hi - (1 << k) + 1]))
+def _sparse_levels(values: list[int]) -> list[list[int]]:
+    """Sparse table for range minima: levels[k][r] = min(values[r:r + 2**k])."""
+    level = np.asarray(values, dtype=np.int64)
+    levels = [level]
+    size = 1
+    while 2 * size <= len(values):
+        level = np.minimum(level[:-size], level[size:])
+        levels.append(level)
+        size *= 2
+    return [lv.tolist() for lv in levels]
 
 
 class LcsufIndex:
-    """Constant-time lcsuf queries after preprocessing two texts."""
+    """Constant-time lcsuf queries after preprocessing two texts.
+
+    The query structures are plain lists, so that a hot loop can bind them
+    and read them without a call per query:
+
+    - quadratic mode: ``rows[i][j]`` is lcsuf(i, j);
+    - suffix-array mode: ``rank1[i]`` and ``rank2[j]`` (i, j >= 1) are the
+      suffix-array ranks of the reversed prefixes t1[1..i] and t2[1..j],
+      and for r1 < r2 lcsuf is the minimum of the LCP array over
+      r1..r2-1, which ``levels`` answers as a sparse table of minima.
+    """
 
     def __init__(self, t1: bytes | str, t2: bytes | str, mode: str = "auto"):
         if mode not in MODES:
@@ -110,17 +107,21 @@ class LcsufIndex:
         if mode == "auto":
             mode = "quadratic" if n1 * n2 <= QUADRATIC_CELL_LIMIT else "suffix-array"
         self.mode = mode
-        self.matrix: np.ndarray | None = None
+        self.rows: list[list[int]] | None = None
+        self.rank1: list[int] = []
+        self.rank2: list[int] = []
+        self.levels: list[list[int]] = []
         if mode == "quadratic":
-            self.matrix = lcsuf_matrix(self.t1, self.t2)
+            self.rows = lcsuf_matrix(self.t1, self.t2).tolist()
         else:
-            joined = (
-                list(self.t1[::-1]) + [_SEPARATOR] + list(self.t2[::-1])
-            )
-            sa = _suffix_array(np.asarray(joined, dtype=np.int64))
-            lcp, inv = _lcp_array(joined, sa)
-            self._inv = inv
-            self._rmq = _SparseMin(lcp) if lcp else None
+            joined = list(self.t1[::-1]) + [_SEPARATOR] + list(self.t2[::-1])
+            sa, rank = _suffix_array(np.asarray(joined, dtype=np.int64))
+            inv = rank.tolist()
+            # reversed t1[1..i] starts at n1 - i, reversed t2[1..j] at
+            # n1 + 1 + n2 - j; index 0 of both holds the separator's rank
+            self.rank1 = inv[n1::-1]
+            self.rank2 = [inv[n1]] + inv[:n1:-1]
+            self.levels = _sparse_levels(_lcp_array(joined, sa.tolist(), inv))
 
     def query(self, i: int, j: int) -> int:
         """lcsuf(t1[1..i], t2[1..j]); zero when either prefix is empty."""
@@ -131,11 +132,11 @@ class LcsufIndex:
             raise IndexError(f"j must be in 0..{n2}, got {j}")
         if i == 0 or j == 0:
             return 0
-        if self.matrix is not None:
-            return int(self.matrix[i, j])
-        r1 = self._inv[n1 - i]
-        r2 = self._inv[n1 + 1 + (n2 - j)]
-        if r1 > r2:
-            r1, r2 = r2, r1
-        return self._rmq.query(r1, r2 - 1)
-
+        if self.rows is not None:
+            return self.rows[i][j]
+        lo, hi = self.rank1[i], self.rank2[j]
+        if lo > hi:
+            lo, hi = hi, lo
+        k = (hi - lo).bit_length() - 1
+        level = self.levels[k]
+        return min(level[lo], level[hi - (1 << k)])

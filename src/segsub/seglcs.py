@@ -171,62 +171,80 @@ def diagonal_run(
     f = _clamp_budget(f, n1)
     inf = n2 + 1
     index = LcsufIndex(t1, t2)
-    query = index.query
+    # the index's flat lists, read below without bounds checks; by_i[i] is
+    # the lcsuf row of t1[1..i] (quadratic mode) or its suffix-array rank
+    rows, rank2, levels = index.rows, index.rank2, index.levels
+    by_i = rows if rows is not None else index.rank1
+    find = t2.find
 
     tables: list[list[list[int]] | None] = [None] + [[] for _ in range(f)]
     max_v = [0] * (f + 1)
-
-    def lookup(h: int, diag: int, s: int) -> int:
-        # L(s + diag, s, h); uninitialized cells are infinite
-        if s <= 0:
-            return 0 if s == 0 else inf
-        if h == 0 or diag < 0:
-            return inf
-        level = tables[h]
-        if diag >= len(level):
-            return inf
-        column = level[diag]
-        return column[s] if s < len(column) else inf
-
-    def fill_diagonally(h: int, diag: int) -> int:
-        column = tables[h][diag]
-        j = 1
-        visits = 0
-        for s in range(1, n1 - diag + 1):
-            i = s + diag
-            value = inf
-            while j <= n2:
-                visits += 1
-                x = query(i, j)
-                if x > s:
-                    x = s
-                if j == lookup(h, diag - 1, s) or (
-                    x > 0 and j >= x + lookup(h - 1, diag, s - x)
-                ):
-                    value = j
-                    break
-                j += 1
-            column.append(value)
-            if value == inf:
-                # deeper cells on this diagonal are infinite as well
-                if s - 1 > max_v[h]:
-                    max_v[h] = s - 1
-                return visits
-            j += 1
-        if n1 - diag > max_v[h]:
-            max_v[h] = n1 - diag
-        return visits
-
+    visits = 0
     for h in range(1, f + 1):
         if not keep_tables and h >= 3:
             tables[h - 2] = None  # only levels h-1 and h stay resident
+        level = tables[h]
+        below = tables[h - 1] if h > 1 else []
         diag = 0
         while diag < n1 - max_v[h]:
-            tables[h].append([0])
-            visits = fill_diagonally(h, diag)
-            if stats is not None:
-                stats.cell_visits += visits
+            # the two columns a diagonal reads, L(h, diag-1, .) and
+            # L(h-1, diag, .); [0] stands in for a column that does not
+            # exist, and a read past a column's end is infinite
+            left = level[diag - 1] if diag else [0]
+            up = below[diag] if diag < len(below) else [0]
+            n_left, n_up = len(left), len(up)
+            column = [0]
+            level.append(column)
+            j = 1  # the scan pointer never moves back along a diagonal
+            for s, a, key in zip(range(1, n1 - diag + 1), t1[diag:], by_i[diag + 1:]):
+                # L(h, i, s) with i = s + diag is the first j >= the pointer
+                # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
+                # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
+                # t2[j] == t1[i], so only those j are queried
+                stop = left[s] if s < n_left else inf
+                if stop == j:
+                    cand = 0
+                else:
+                    if stop < j:
+                        stop = inf  # the pointer is already past L(h, i-1, s)
+                    if j < stop and t2[j - 1] == a:
+                        cand = j
+                    else:
+                        cand = find(a, j - 1, stop - 1) + 1  # 0 when none
+                value = stop
+                while cand:
+                    if rows is not None:
+                        x = key[cand]
+                    else:  # range minimum of the LCP array between the ranks
+                        lo, hi = key, rank2[cand]
+                        if lo > hi:
+                            lo, hi = hi, lo
+                        k = (hi - lo).bit_length() - 1
+                        x = levels[k][lo]
+                        y = levels[k][hi - (1 << k)]
+                        if y < x:
+                            x = y
+                    # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
+                    if x >= s or (s - x < n_up and cand >= x + up[s - x]):
+                        value = cand
+                        break
+                    cand = find(a, cand, stop - 1) + 1
+                column.append(value)
+                # every j from the pointer to the cell's value was visited
+                if value == inf:
+                    visits += n2 - j + 1
+                    # deeper cells on this diagonal are infinite as well
+                    if s - 1 > max_v[h]:
+                        max_v[h] = s - 1
+                    break
+                visits += value - j + 1
+                j = value + 1
+            else:  # the diagonal ran to the end of t1
+                if n1 - diag > max_v[h]:
+                    max_v[h] = n1 - diag
             diag += 1
+    if stats is not None:
+        stats.cell_visits += visits
     return DiagonalRun(tables, max_v, inf, n1, n2, f)
 
 

@@ -105,6 +105,18 @@ def test_dump_tables_requires_diagonal(capsys):
     assert code == 2 and "diagonal" in err
 
 
+def test_witness_rejects_dump_tables(capsys):
+    code, out, err = run(capsys, "seglcs", "--t1", "abcab", "--t2", "abcb",
+                         "--segments", "2", "--witness", "--dump-tables")
+    assert code == 2 and out == "" and "--dump-tables" in err
+
+
+def test_witness_rejects_oracle(capsys):
+    code, out, err = run(capsys, "seglcs", "--t1", "abcab", "--t2", "abcb",
+                         "--segments", "2", "--witness", "--algo", "oracle")
+    assert code == 2 and out == "" and "oracle" in err
+
+
 def test_reduce_episode_bytes(capsysbinary):
     code = main(["reduce-episode", "--text", "0101", "--pattern", "00",
                  "--bound", "3"])

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from segsub import lce
 from segsub.core import verify_embedding
+from segsub.harness import generate_instance
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import slcs_bruteforce
 from segsub.seglcs import (
@@ -325,6 +327,52 @@ class TestInstrumentation:
         stats = SolveStats()
         assert slcs_diagonal(b"ab" * 100, b"ab" * 100, 1, stats=stats) == 200
         assert stats.cell_visits <= 2 * 200
+
+
+def test_index_backends_give_identical_runs(monkeypatch):
+    # at these sizes auto mode picks the quadratic index; a negative cell
+    # limit forces the suffix array, so both of the solver's lcsuf paths run
+    rng = random.Random(31)
+    for _ in range(200):
+        t1, t2 = random_text(rng, 12), random_text(rng, 12)
+        f = rng.randint(1, 5)
+        runs = []
+        for limit in (lce.QUADRATIC_CELL_LIMIT, -1):
+            monkeypatch.setattr(lce, "QUADRATIC_CELL_LIMIT", limit)
+            stats = SolveStats()
+            runs.append((diagonal_run(t1, t2, f, stats=stats, keep_tables=True), stats))
+        (quad, quad_stats), (sa, sa_stats) = runs
+        assert quad.tables == sa.tables, (t1, t2, f)
+        assert quad.max_v_idx == sa.max_v_idx
+        assert quad_stats.cell_visits == sa_stats.cell_visits
+        short, long = sorted((t1, t2), key=len)
+        if short:
+            full = shortest_prefix_tables(short, long, quad.f)
+            for h, i, s, value in quad.cells():
+                assert value == full[h][i][s], (t1, t2, h, i, s)
+
+
+# (kind, n, similarity, f) -> (answer, cell_visits); generate_instance with
+# the default alphabet and seed 1
+PINNED_VISITS = {
+    ("similarity", 2000, 2, 1): (1998, 4000),
+    ("similarity", 2000, 2, 4): (1998, 16000),
+    ("similarity", 2000, 2, 16): (1998, 64000),
+    ("similarity", 2000, 20, 16): (1992, 310000),
+    ("uniform", 150, None, 4): (29, 77850),
+}
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_VISITS, ids=lambda case: "-".join(map(str, case))
+)
+def test_pinned_visit_counts(case):
+    # the visit counter is a benchmark count, so it must repeat exactly
+    _, n, similarity, f = case
+    t1, t2 = generate_instance("seglcs", (n, n), seed=1, similarity=similarity).texts
+    stats = SolveStats()
+    answer = slcs_diagonal(t1, t2, f, stats=stats)
+    assert (answer, stats.cell_visits) == PINNED_VISITS[case]
 
 
 def test_dump_format():
