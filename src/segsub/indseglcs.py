@@ -1,23 +1,30 @@
 """Longest common subsequence under independent per-text segment budgets.
 
-The solver keeps four tables indexed by a per-side state symbol: B (any
-embedding) or F (last segment pinned to the prefix end) when the budget is
-small, and their score-threshold analogues SB / SF when the budget is close
-to half the text length. A side's fourth table axis is then either the
-remaining segment allowance or the factorization score still owed, whichever
-is smaller, which keeps the table narrow at both budget extremes.
+Each text side has two state symbols and an axis p of g + 1 entries, read at
+p = g for the answer: B / F (any embedding, or the last segment pinned to the
+prefix end) with p a segment count, or their score-threshold analogues SB /
+SF with p a factorization score, whichever family gives the shorter axis.
+
+Cell (i1, i2) is an array of shape (2, 2, g1 + 1, g2 + 1) over the side-1
+symbol, the side-2 symbol, p1 and p2, -inf where a state is empty. A text's
+new symbol left unused applies that side's ``phi`` to the upper (side 1) or
+left (side 2) neighbour; a symbol used in both texts, where t1[i1-1] ==
+t2[i2-1], applies both sides' ``psi`` to the diagonal neighbour and adds one.
+So anti-diagonal d = i1 + i2 depends only on d - 1 and d - 2, and ``solve``
+fills it whole with a fixed number of numpy calls. It keeps three diagonals
+plus two scratch ones, each (min(n1, n2) + 1) * 4 * (g1 + 1) * (g2 + 1)
+float32 values (exact for every length below 2**24).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import as_text, check_budget
 
 NEG_INF = float("-inf")
-
-_COUNT_SYMBOLS = ("B", "F")
-_SCORE_SYMBOLS = ("SB", "SF")
 
 FAMILIES = ("count", "score")
 
@@ -59,41 +66,51 @@ def side_config(n: int, f: int, force_family: str | None = None) -> SideConfig:
     return SideConfig(n, f, family, f if family == "count" else score_span)
 
 
-def _phi(x: str, p: int) -> tuple[tuple[str, int], ...]:
-    # predecessor states when the new text symbol is left unused
-    if x == "B":
-        return (("B", p), ("F", p))
-    if x == "F":
-        return (("B", p - 1), ("F", p - 1)) if p > 0 else ()
-    if x == "SB":
-        if p > 0:
-            return (("SB", p - 1), ("SF", p))
-        return (("SB", 0), ("SF", 0))
-    return ()  # SF requires the last symbol
+# Side operators: a max over the two symbols and a shift by one along p.
+# ``a`` and ``out`` are diagonal slices viewed with the axes (cell, own symbol,
+# other symbol, own p, other p); ``out`` is overwritten.
 
 
-def _psi(x: str, p: int) -> tuple[tuple[str, int], ...]:
-    # predecessor states when the new text symbol extends the subsequence
-    if x == "B":
-        return (("B", p - 1), ("F", p - 1)) if p > 0 else ()
-    if x == "F":
-        return (("B", p - 1), ("F", p)) if p > 0 else ()
-    if x == "SB":
-        return ()
-    if p > 0:
-        return (("SB", p), ("SF", p - 1))
-    return (("SB", 0), ("SF", 0))
+def _phi_count(a, out):
+    # the new symbol is left unused: B from B or F at p, F from either at p-1
+    np.maximum(a[:, 0], a[:, 1], out=out[:, 0])
+    out[:, 1, :, 1:] = out[:, 0, :, :-1]
+    out[:, 1, :, 0] = NEG_INF
 
 
-def _init_q(x: str, p: int, i: int) -> float:
-    # does the empty string belong to the side's set at prefix length i?
-    if x == "B":
-        return 0
-    if x == "F":
-        return 0 if p > 0 else NEG_INF
-    if x == "SB":
-        return 0 if p <= i else NEG_INF
-    return NEG_INF
+def _psi_count(a, out):
+    # the new symbol is used: B from either at p-1, F from B at p-1 or F at p
+    np.maximum(a[:, 0, :, :-1], a[:, 1, :, :-1], out=out[:, 0, :, 1:])
+    np.maximum(a[:, 0, :, :-1], a[:, 1, :, 1:], out=out[:, 1, :, 1:])
+    out[:, :, :, 0] = NEG_INF
+
+
+def _phi_score(a, out):
+    # SB from SB at p-1 or SF at p (both at 0 when p = 0); SF needs the symbol
+    np.maximum(a[:, 0, :, :-1], a[:, 1, :, 1:], out=out[:, 0, :, 1:])
+    np.maximum(a[:, 0, :, 0], a[:, 1, :, 0], out=out[:, 0, :, 0])
+    out[:, 1] = NEG_INF
+
+
+def _psi_score(a, out):
+    # SF from SB at p or SF at p-1 (both at 0 when p = 0); SB skips the symbol
+    np.maximum(a[:, 0, :, 1:], a[:, 1, :, :-1], out=out[:, 1, :, 1:])
+    np.maximum(a[:, 0, :, 0], a[:, 1, :, 0], out=out[:, 1, :, 0])
+    out[:, 0] = NEG_INF
+
+
+_OPERATORS = {"count": (_phi_count, _psi_count), "score": (_phi_score, _psi_score)}
+
+
+def _empty_states(cfg: SideConfig) -> np.ndarray:
+    """q[i, x, p] = 0 if the empty string is in state (x, p) at prefix i, else -inf."""
+    q = np.full((cfg.n + 1, 2, cfg.g + 1), NEG_INF, np.float32)
+    if cfg.family == "count":
+        q[:, 0] = 0
+        q[:, 1, 1:] = 0
+    else:
+        q[:, 0][np.arange(cfg.g + 1) <= np.arange(cfg.n + 1)[:, None]] = 0
+    return q
 
 
 def indseglcs(
@@ -111,67 +128,44 @@ def indseglcs(
 
 
 def solve(t1: bytes, t2: bytes, cfg1: SideConfig, cfg2: SideConfig) -> int:
-    """Fill the four tables for the given side configurations."""
+    """Fill the tables one anti-diagonal at a time; return the length at (n1, n2)."""
     n1, n2 = len(t1), len(t2)
-    g1, g2 = cfg1.g, cfg2.g
-    sym1 = _COUNT_SYMBOLS if cfg1.family == "count" else _SCORE_SYMBOLS
-    sym2 = _COUNT_SYMBOLS if cfg2.family == "count" else _SCORE_SYMBOLS
-    keys = [(x1, x2) for x1 in sym1 for x2 in sym2]
+    phi1, psi1 = _OPERATORS[cfg1.family]
+    phi2, psi2 = _OPERATORS[cfg2.family]
+    shape = (min(n1, n2) + 1, 2, 2, cfg1.g + 1, cfg2.g + 1)
+    # three diagonals in rotation and two scratch ones; the transposed views
+    # put side 2's axes where the operators expect their own side's
+    *rotation, step, pair = np.empty((5, *shape), np.float32)
+    diags = [(b, b.transpose(0, 2, 1, 4, 3)) for b in rotation]
+    pair2 = pair.transpose(0, 2, 1, 4, 3)
+    q1 = _empty_states(cfg1)[:, :, None, :, None]
+    q2 = _empty_states(cfg2)[:, None, :, None, :]
+    codes1, rev2 = np.frombuffer(t1, np.uint8), np.frombuffer(t2, np.uint8)[::-1]
 
-    def boundary(key, i1, i2):
-        x1, x2 = key
-        return [
-            [
-                min(_init_q(x1, p1, i1), _init_q(x2, p2, i2))
-                for p2 in range(g2 + 1)
-            ]
-            for p1 in range(g1 + 1)
-        ]
+    for d in range(n1 + n2 + 1):
+        # a diagonal's cells are i1 = lo .. min(d, n1), stored from index 0
+        cur, cur2 = diags[d % 3]
+        prev, prev2 = diags[(d - 1) % 3]
+        back2 = diags[(d - 2) % 3][1]
+        lo = max(0, d - n2)
+        if lo == 0:
+            np.minimum(q1[0], q2[d], out=cur[0])  # cell (0, d)
+        if d <= n1:
+            np.minimum(q1[d], q2[0], out=cur[d - lo])  # cell (d, 0)
+        a, b = max(1, lo), min(d - 1, n1)  # inner cells, both prefixes nonempty
+        if a > b:
+            continue
+        k, lo1, lo2 = b - a + 1, max(0, lo - 1), max(0, lo - 2)
+        out, s = cur[a - lo:a - lo + k], step[:k]
+        phi2(prev2[a - lo1:a - lo1 + k], cur2[a - lo:a - lo + k])  # from (i1, i2-1)
+        phi1(prev[a - 1 - lo1:a - 1 - lo1 + k], s)  # from (i1-1, i2)
+        np.maximum(out, s, out=out)
+        psi2(back2[a - 1 - lo2:a - 1 - lo2 + k], pair2[:k])  # from (i1-1, i2-1)
+        psi1(pair[:k], s)
+        np.add(s, 1, out=s)
+        # used only where t1[i1-1] == t2[i2-1]
+        match = codes1[a - 1:b] == rev2[n2 - d + a:n2 - d + a + k]
+        np.maximum(out, s, out=out, where=match[:, None, None, None, None])
 
-    # transition fan-ins are the same at every (i1, i2); tabulate them once
-    plans = {}
-    for key in keys:
-        x1, x2 = key
-        cells = []
-        for p1 in range(g1 + 1):
-            phi1 = tuple(((y1, x2), q1) for y1, q1 in _phi(x1, p1))
-            psi1 = _psi(x1, p1)
-            for p2 in range(g2 + 1):
-                phi2 = tuple(((x1, y2), q2) for y2, q2 in _phi(x2, p2))
-                diag = tuple(
-                    ((y1, y2), q1, q2)
-                    for y1, q1 in psi1
-                    for y2, q2 in _psi(x2, p2)
-                )
-                cells.append((p1, p2, phi2, phi1, diag))
-        plans[key] = cells
-
-    prev = {key: [boundary(key, 0, i2) for i2 in range(n2 + 1)] for key in keys}
-    cur = prev
-    for i1 in range(1, n1 + 1):
-        c1 = t1[i1 - 1]
-        cur = {key: [boundary(key, i1, 0)] for key in keys}
-        for i2 in range(1, n2 + 1):
-            match = c1 == t2[i2 - 1]
-            for key in keys:
-                plane = [[NEG_INF] * (g2 + 1) for _ in range(g1 + 1)]
-                for p1, p2, phi2, phi1, diag in plans[key]:
-                    best = NEG_INF
-                    for src, q2 in phi2:
-                        v = cur[src][i2 - 1][p1][q2]
-                        if v > best:
-                            best = v
-                    for src, q1 in phi1:
-                        v = prev[src][i2][q1][p2]
-                        if v > best:
-                            best = v
-                    if match:
-                        for src, q1, q2 in diag:
-                            v = prev[src][i2 - 1][q1][q2]
-                            if v != NEG_INF and v + 1 > best:
-                                best = v + 1
-                    plane[p1][p2] = best
-                cur[key].append(plane)
-        prev = cur
-    best = max(cur[key][n2][g1][g2] for key in keys)
+    best = diags[(n1 + n2) % 3][0][0, :, :, cfg1.g, cfg2.g].max()
     return int(best) if best != NEG_INF else 0

@@ -99,3 +99,68 @@ def embedding_pieces(t: bytes, positions: tuple[int, ...]) -> list[bytes]:
         if gap:
             pieces.append(gap)
     return pieces
+
+
+# Independent-budget tables one state at a time, straight from the per-side
+# transitions: the states a side state (x, p) is reached from when the new text
+# symbol is left unused (_phi) or used (_psi), and whether the empty string is
+# in it at prefix length i (_empty). indseglcs.solve computes the same tables
+# a diagonal of whole (p1, p2) planes at a time.
+_NEG = float("-inf")
+
+
+def _phi(x: str, p: int) -> tuple[tuple[str, int], ...]:
+    if x == "B":
+        return (("B", p), ("F", p))
+    if x == "F":
+        return (("B", p - 1), ("F", p - 1)) if p else ()
+    if x == "SB":
+        return (("SB", p - 1), ("SF", p)) if p else (("SB", 0), ("SF", 0))
+    return ()
+
+
+def _psi(x: str, p: int) -> tuple[tuple[str, int], ...]:
+    if x == "B":
+        return (("B", p - 1), ("F", p - 1)) if p else ()
+    if x == "F":
+        return (("B", p - 1), ("F", p)) if p else ()
+    if x == "SB":
+        return ()
+    return (("SB", p), ("SF", p - 1)) if p else (("SB", 0), ("SF", 0))
+
+
+def _empty(x: str, p: int, i: int) -> float:
+    if x == "B":
+        return 0
+    if x == "F":
+        return 0 if p else _NEG
+    if x == "SB":
+        return 0 if p <= i else _NEG
+    return _NEG
+
+
+def indseglcs_cellwise(t1: bytes, t2: bytes, cfg1, cfg2) -> int:
+    """Reference for indseglcs.solve: every cell and state filled by a loop."""
+    symbols = {"count": ("B", "F"), "score": ("SB", "SF")}
+    states1 = [(x, p) for x in symbols[cfg1.family] for p in range(cfg1.g + 1)]
+    states2 = [(x, p) for x in symbols[cfg2.family] for p in range(cfg2.g + 1)]
+    n1, n2 = len(t1), len(t2)
+    table = {}
+    for i1 in range(n1 + 1):
+        for i2 in range(n2 + 1):
+            match = i1 and i2 and t1[i1 - 1] == t2[i2 - 1]
+            for s1 in states1:
+                for s2 in states2:
+                    if not (i1 and i2):
+                        value = min(_empty(*s1, i1), _empty(*s2, i2))
+                    else:
+                        cands = [table[i1, i2 - 1, s1, y2] for y2 in _phi(*s2)]
+                        cands += [table[i1 - 1, i2, y1, s2] for y1 in _phi(*s1)]
+                        if match:
+                            cands += [table[i1 - 1, i2 - 1, y1, y2] + 1
+                                      for y1 in _psi(*s1) for y2 in _psi(*s2)]
+                        value = max(cands, default=_NEG)
+                    table[i1, i2, s1, s2] = value
+    best = max(table[n1, n2, (x1, cfg1.g), (x2, cfg2.g)]
+               for x1 in symbols[cfg1.family] for x2 in symbols[cfg2.family])
+    return int(best) if best != _NEG else 0

@@ -6,14 +6,42 @@ import pytest
 
 from segsub.indseglcs import indseglcs, segmentation_score, side_config
 from segsub.oracle import indseglcs_bruteforce, slcs_bruteforce
+from segsub.seglcs import slcs_diagonal
 from segsub.segmatch import min_segments
 
 from helpers import (
     classic_lcs_len,
     embedding_pieces,
     enumerate_embeddings,
+    indseglcs_cellwise,
     random_text,
 )
+
+# (t1, t2, f1, f2, force_family, answer) above the brute-force oracle's length
+# cap, recorded with an earlier cell-by-cell implementation of the same tables.
+# The comment gives each side's table family and g.
+PINNED = [
+    ("dbcbdcbdcdbccabdbbdacdda", "bcdccbcddcbdbbabaccdacbbdcbbcdbcdccdbbcb",
+     3, 7, None, 17),  # count g=3 / count g=7
+    ("ccaaaaabcabaaabacbcbbcbc", "baabbbacccbcabaabacabbcacccbcccaaaacaacc",
+     9, 4, None, 16),  # score g=6 / count g=4
+    ("abbdbbabaaabcaacabaabbbdbdccddbdddbbbcdbbcdaacabdabddadcaccb",
+     "badabbacccdbcdddcbaaacdbaadacb", 25, 6, None, 26),  # score g=10 / count g=6
+    ("abccaaccabacccbbcaaacaabccbbcacacbbcbbcabbbbccaababbcbbccabc",
+     "cabbcabbcacbbccaacabcbbaccbcba", 4, 9, None, 23),  # count g=4 / count g=9
+    ("dcadabadcbacacbdbbdcadaacbdabb", "bcbdabcdccbacdbcbcbbdbbb",
+     6, 10, "count", 17),  # count g=6 / count g=10
+    ("bcaaddadbccdccddacbddcdcbacbbd", "dcabadacaaddbbccdcabdbcc",
+     6, 10, "score", 16),  # score g=18 / score g=4
+    ("bbaabbbaababbaabbaaabbbabaaababbbaab", "bbabbaaabbbbbaababab",
+     18, 40, None, 20),  # score g=0 / score g=0 (saturated budgets)
+    ("cacddcddcaabdbbbaacaacbbbcabacca", "cbaccaddbabccadbcdab",
+     16, 5, "count", 13),  # count g=16 = n1/2 / count g=5
+    ("bcaadaabaabdbbbddaddcbbcbbdabcdbddbdddac",
+     "cbcacacdabbbdadddddccbbbdadcacbcbbddcadc", 10, 10, None, 27),  # count g=10 both
+    ("cabdbcddabddcccabbaadbbbacdbccccdbdbddaaadcbbaab", "babaacaabdbdbacc",
+     1, 1, None, 4),  # count g=1 / count g=1
+]
 
 
 class TestAppendixExamples:
@@ -169,10 +197,67 @@ class TestSolver:
 
     def test_empty_inputs(self):
         assert indseglcs(b"", b"abc", 1, 1) == 0
+        assert indseglcs(b"abc", b"", 2, 1) == 0
         assert indseglcs(b"", b"", 2, 2) == 0
+        for family in (None, "count", "score"):
+            assert indseglcs(b"", b"abcab", 1, 3, family) == 0
+            assert indseglcs(b"abcab", b"", 3, 1, family) == 0
+            assert indseglcs(b"a", b"a", 1, 1, family) == 1
+            assert indseglcs(b"a", b"b", 1, 1, family) == 0
+        # g = 0 under the score family: the budget reaches ceil(n/2)
+        assert side_config(3, 2, "score").g == 0
+        assert indseglcs(b"abc", b"abc", 2, 2, "score") == 3
+        assert indseglcs(b"abc", b"cab", 2, 2, "score") == 2
+        # the longest diagonal, min(n1, n2) + 1 cells, is shorter than the
+        # longer text, and inner diagonals start past i1 = 1
+        rng = random.Random(38)
+        for n1, n2 in ((1, 12), (12, 1), (2, 11), (11, 3), (5, 13)):
+            for _ in range(4):
+                t1 = bytes(97 + rng.randrange(2) for _ in range(n1))
+                t2 = bytes(97 + rng.randrange(2) for _ in range(n2))
+                f1, f2 = rng.randint(1, 4), rng.randint(1, 4)
+                want = indseglcs_bruteforce(t1, t2, f1, f2)
+                for family in (None, "count", "score"):
+                    assert indseglcs(t1, t2, f1, f2, family) == want, (t1, t2, f1, f2)
+
+    def test_matches_cellwise_reference(self):
+        # above the oracle's cap, with both families forced onto either side
+        rng = random.Random(39)
+        for _ in range(20):
+            t1, t2 = random_text(rng, 16), random_text(rng, 16)
+            f1, f2 = rng.randint(1, 4), rng.randint(1, 4)
+            family = rng.choice((None, "count", "score"))
+            cfg1 = side_config(len(t1), f1, family)
+            cfg2 = side_config(len(t2), f2, family)
+            assert indseglcs(t1, t2, f1, f2, family) == indseglcs_cellwise(
+                t1, t2, cfg1, cfg2), (t1, t2, f1, f2, family)
+
+    @pytest.mark.parametrize("t1, t2, f1, f2, family, answer", PINNED)
+    def test_pinned_answers(self, t1, t2, f1, f2, family, answer):
+        assert indseglcs(t1, t2, f1, f2, force_family=family) == answer
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             indseglcs(b"a", b"a", 0, 1)
         with pytest.raises(ValueError):
             indseglcs(b"a", b"a", 1, -2)
+
+
+def test_metamorphic_properties():
+    # lengths 20-60, above the brute-force oracle's cap
+    rng = random.Random(40)
+    for _ in range(16):
+        n1, n2 = rng.randint(20, 60), rng.randint(20, 60)
+        k = rng.choice((2, 3, 4))
+        t1 = bytes(97 + rng.randrange(k) for _ in range(n1))
+        t2 = bytes(97 + rng.randrange(k) for _ in range(n2))
+        f1, f2 = rng.randint(1, n1 // 4), rng.randint(1, n2 // 4)
+        base = indseglcs(t1, t2, f1, f2)
+        assert indseglcs(t2, t1, f2, f1) == base
+        assert indseglcs(t1[::-1], t2[::-1], f1, f2) == base
+        assert indseglcs(t1, t2, f1 + 1, f2) >= base
+        assert indseglcs(t1, t2, f1, f2 + 1) >= base
+        assert indseglcs(t1, t2, f1, f2, force_family="count") == base
+        assert indseglcs(t1, t2, f1, f2, force_family="score") == base
+        f = min(f1, f2)
+        assert indseglcs(t1, t2, f, f) >= slcs_diagonal(t1, t2, f)
