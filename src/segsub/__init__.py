@@ -2,6 +2,7 @@
 
 from .core import (
     Embedding,
+    ResourceLimitError,
     Segmentation,
     as_text,
     check_budget,
@@ -37,6 +38,7 @@ __all__ = [
     "Embedding",
     "LcsufIndex",
     "OracleLimitError",
+    "ResourceLimitError",
     "Segmentation",
     "SolveStats",
     "as_text",

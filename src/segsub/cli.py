@@ -2,7 +2,8 @@
 
 Text arguments are taken as raw bytes; ``@path`` reads a file instead, with
 one trailing newline stripped. Exit codes: decision subcommands mirror the
-answer (0 yes / 1 no), usage errors are 2, brute-force size limits are 3.
+answer (0 yes / 1 no), usage errors are 2, brute-force size limits are 3,
+and a solve refused for needing more than physical memory is 4.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import sys
 from pathlib import Path
 
 from . import harness, oracle, reduction, segmatch, seglcs
-from .core import check_budget
+from .core import ResourceLimitError, check_budget
 from .indseglcs import indseglcs
 from .oracle import OracleLimitError
 
 USAGE_EXIT = 2
 LIMIT_EXIT = 3
+RESOURCE_EXIT = 4
 
 
 def _read_text_arg(value: str) -> bytes:
@@ -155,9 +157,8 @@ def _cmd_reduce_episode(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    lengths = _parse_int_list(args.lengths, expected=2)
     inst = harness.generate_instance(
-        args.kind, (lengths[0], lengths[1]),
+        args.kind, _parse_pair(args.lengths),
         alphabet=args.alphabet, seed=args.seed, similarity=args.similarity,
     )
     if args.json:
@@ -202,30 +203,14 @@ def _cmd_difftest(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    rows = harness.benchmark(
-        _parse_int_list(args.sizes),
-        f=args.segments, family=args.family, edits=args.edits,
-        alphabet=args.alphabet, seed=args.seed, reps=args.reps,
-    )
-    csv = harness.rows_to_csv(rows)
-    if args.csv:
-        Path(args.csv).write_text(csv)
-    elif args.json:
-        _emit_json({"rows": [row.__dict__ for row in rows]})
-    else:
-        sys.stdout.write(csv)
-    return 0
-
-
-def _parse_int_list(text: str, expected: int | None = None) -> list[int]:
+def _parse_pair(text: str) -> tuple[int, int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-    if expected is not None and len(values) != expected:
-        raise ValueError(f"expected {expected} comma-separated integers, got {text!r}")
-    return values
+    if len(values) != 2:
+        raise ValueError(f"expected 2 comma-separated integers, got {text!r}")
+    return values[0], values[1]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,18 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_difftest)
 
-    p = sub.add_parser("bench", parents=[common], help="benchmark the LCS solvers")
-    p.add_argument("--sizes", required=True, help="comma-separated text lengths")
-    p.add_argument("--segments", type=int, default=4)
-    p.add_argument("--family", choices=("similarity", "uniform"),
-                   default="similarity")
-    p.add_argument("--edits", type=int, default=2)
-    p.add_argument("--alphabet", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -327,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleLimitError as exc:
         print(f"segsub: {exc}", file=sys.stderr)
         return LIMIT_EXIT
+    except ResourceLimitError as exc:
+        print(f"segsub: {exc}", file=sys.stderr)
+        return RESOURCE_EXIT
     except (ValueError, OSError) as exc:
         print(f"segsub: {exc}", file=sys.stderr)
         return USAGE_EXIT

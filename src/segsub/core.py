@@ -8,9 +8,24 @@ Texts are byte strings; all public positions are 1-based (internal storage is
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 Text = bytes
+
+
+class ResourceLimitError(MemoryError):
+    """A solver's buffers would exceed the machine's physical memory."""
+
+
+def check_allocation(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, buffers larger than physical memory."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ResourceLimitError(
+            f"{what} need {nbytes / 2**30:,.1f} GiB, more than the "
+            f"{physical / 2**30:,.1f} GiB of physical memory"
+        )
 
 
 def as_text(value: bytes | bytearray | str) -> bytes:

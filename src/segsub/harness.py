@@ -1,14 +1,8 @@
-"""Instance generation, differential testing, and benchmark measurement.
-
-Wall time is reported but never used as a gate; the counters in SolveStats
-are the machine-independent unit for complexity trends.
-"""
+"""Instance generation and differential testing against the brute-force oracles."""
 
 from __future__ import annotations
 
 import random
-import statistics
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -22,8 +16,6 @@ SeglcsSolver = Callable[[bytes, bytes, int], int]
 SEGLCS_SOLVERS = {"baseline": seglcs.slcs_baseline, "diagonal": seglcs.slcs_diagonal}
 
 FAULTS = ("text-off-by-one",)
-
-CSV_COLUMNS = ("algorithm", "n1", "n2", "f", "ell", "wall_time", "cell_visits")
 
 
 @dataclass(frozen=True)
@@ -195,69 +187,3 @@ def differential_run(
                 expected, indseglcs(t1, t2, f1, f2),
             )
     return report
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    algorithm: str
-    n1: int
-    n2: int
-    f: int
-    ell: int
-    wall_time: float
-    cell_visits: int
-
-
-def benchmark(
-    sizes: list[int],
-    f: int = 4,
-    family: str = "similarity",
-    edits: int = 2,
-    alphabet: int = 8,
-    seed: int = 0,
-    reps: int = 3,
-    algorithms: tuple[str, ...] = ("baseline", "diagonal"),
-) -> list[BenchRow]:
-    """Measure both solvers on one instance family; medians over ``reps``."""
-    if family not in ("similarity", "uniform"):
-        raise ValueError(f"unknown benchmark family {family!r}")
-    for name in algorithms:
-        if name not in SEGLCS_SOLVERS:
-            raise ValueError(f"unknown algorithm {name!r}")
-    rows = []
-    for idx, n in enumerate(sorted(sizes)):
-        inst = generate_instance(
-            "seglcs",
-            (n, n),
-            alphabet=alphabet,
-            seed=seed + idx,
-            similarity=edits if family == "similarity" else None,
-        )
-        t1, t2 = inst.texts
-        for name in algorithms:
-            solver = SEGLCS_SOLVERS[name]
-            times = []
-            value = 0
-            visits = 0
-            for _ in range(max(1, reps)):
-                stats = seglcs.SolveStats()
-                started = time.perf_counter()
-                value = solver(t1, t2, f, stats=stats)
-                times.append(time.perf_counter() - started)
-                visits = stats.cell_visits
-            rows.append(
-                BenchRow(name, n, n, f, value, statistics.median(times), visits)
-            )
-    rows.sort(key=lambda r: (r.algorithm, r.n1, r.n2, r.f))
-    return rows
-
-
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    """Fixed-order CSV with one header row."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            f"{r.algorithm},{r.n1},{r.n2},{r.f},{r.ell},"
-            f"{r.wall_time:.6f},{r.cell_visits}"
-        )
-    return "\n".join(lines) + "\n"

@@ -13,16 +13,18 @@ t2[i2-1], applies both sides' ``psi`` to the diagonal neighbour and adds one.
 So anti-diagonal d = i1 + i2 depends only on d - 1 and d - 2, and ``solve``
 fills it whole with a fixed number of numpy calls. It keeps three diagonals
 plus two scratch ones, each (min(n1, n2) + 1) * 4 * (g1 + 1) * (g2 + 1)
-float32 values (exact for every length below 2**24).
+float32 values (exact for every length below 2**24). A solve whose buffers
+would exceed physical memory raises ``ResourceLimitError`` before allocating.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_text, check_budget
+from .core import as_text, check_allocation, check_budget
 
 NEG_INF = float("-inf")
 
@@ -133,6 +135,11 @@ def solve(t1: bytes, t2: bytes, cfg1: SideConfig, cfg2: SideConfig) -> int:
     phi1, psi1 = _OPERATORS[cfg1.family]
     phi2, psi2 = _OPERATORS[cfg2.family]
     shape = (min(n1, n2) + 1, 2, 2, cfg1.g + 1, cfg2.g + 1)
+    check_allocation(  # five diagonals and two empty-state arrays, float32
+        4 * (5 * math.prod(shape) + 2 * (n1 + 1) * (cfg1.g + 1)
+             + 2 * (n2 + 1) * (cfg2.g + 1)),
+        "the indseglcs diagonals",
+    )
     # three diagonals in rotation and two scratch ones; the transposed views
     # put side 2's axes where the operators expect their own side's
     *rotation, step, pair = np.empty((5, *shape), np.float32)

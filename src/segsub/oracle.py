@@ -107,14 +107,12 @@ def indseglcs_bruteforce(
     """Longest string within both per-text segment budgets.
 
     Enumerates the distinct subsequences of the shorter text by bitmask and
-    keeps those whose minimum segment count fits each budget.
+    keeps those whose brute-force minimum segment count fits each budget.
     """
     check_budget(f1)
     check_budget(f2)
     t1, t2 = as_text(t1), as_text(t2)
     _check_sizes(limit, t1, t2)
-    from .segmatch import min_segments
-
     if len(t1) <= len(t2):
         short, other, f_short, f_other = t1, t2, f1, f2
     else:
@@ -126,10 +124,10 @@ def indseglcs_bruteforce(
         if len(u) <= best or u in seen:
             continue
         seen.add(u)
-        a = min_segments(short, u)
+        a = min_segments_bruteforce(short, u, limit)
         if a is None or a > f_short:
             continue
-        b = min_segments(other, u)
+        b = min_segments_bruteforce(other, u, limit)
         if b is not None and b <= f_other:
             best = len(u)
     return best

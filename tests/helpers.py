@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from segsub.seglcs import chain_table
+from segsub.harness import generate_instance
+from segsub.seglcs import SolveStats, chain_table, slcs_baseline, slcs_diagonal
 
 
 def random_text(rng: random.Random, max_len: int, alphabet: int = 3) -> bytes:
@@ -36,6 +37,26 @@ def longest_common_substring_len(a: bytes, b: bytes) -> int:
             if k > best:
                 best = k
     return best
+
+
+def seglcs_visit_counts(
+    sizes, f=4, similarity=2, alphabet=8, seed=0
+) -> dict[str, list[tuple[int, int, int]]]:
+    """(n, answer, cell_visits) per size for the baseline and diagonal solvers.
+
+    One n x n seglcs instance per size, seeded ``seed`` plus the size's index;
+    ``similarity`` edits confined to the tail, or uniform texts when None.
+    """
+    counts = {"baseline": [], "diagonal": []}
+    for idx, n in enumerate(sizes):
+        t1, t2 = generate_instance(
+            "seglcs", (n, n), alphabet=alphabet, seed=seed + idx,
+            similarity=similarity,
+        ).texts
+        for name, solver in (("baseline", slcs_baseline), ("diagonal", slcs_diagonal)):
+            stats = SolveStats()
+            counts[name].append((n, solver(t1, t2, f, stats=stats), stats.cell_visits))
+    return counts
 
 
 def greedy_subsequence(t: bytes, p: bytes) -> bool:

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from segsub.harness import benchmark, differential_run
+from segsub.harness import differential_run
 from segsub.indseglcs import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import min_segments_bruteforce
@@ -25,7 +25,12 @@ from segsub.segmatch import (
 )
 from segsub.seglcs import diagonal_run, slcs_baseline, slcs_diagonal
 
-from helpers import classic_lcs_len, random_text, shortest_prefix_tables
+from helpers import (
+    classic_lcs_len,
+    random_text,
+    seglcs_visit_counts,
+    shortest_prefix_tables,
+)
 from test_seglcs import FULL_L, SPARSE_L
 
 
@@ -208,19 +213,13 @@ def test_criterion_7_invariant_suite():
 def test_criterion_8_complexity_trend():
     with criterion("C8 machine-independent complexity trend"):
         started = time.perf_counter()
-        rows = benchmark([1000, 2000, 4000, 8000], f=4, edits=2, reps=1, seed=80)
-        by_algo = {
-            algo: sorted(
-                (r for r in rows if r.algorithm == algo), key=lambda r: r.n2
-            )
-            for algo in ("baseline", "diagonal")
-        }
-        for r in by_algo["diagonal"]:
-            assert r.n1 - r.ell <= 2
-        for prev, cur in itertools.pairwise(by_algo["diagonal"]):
-            ratio = cur.cell_visits / prev.cell_visits
+        counts = seglcs_visit_counts([1000, 2000, 4000, 8000], f=4, seed=80)
+        for n, ell, _ in counts["diagonal"]:
+            assert n - ell <= 2
+        for (_, _, prev), (_, _, cur) in itertools.pairwise(counts["diagonal"]):
+            ratio = cur / prev
             assert 2 / 1.5 <= ratio <= 2 * 1.5, f"diagonal ratio {ratio}"
-        for prev, cur in itertools.pairwise(by_algo["baseline"]):
-            ratio = cur.cell_visits / prev.cell_visits
+        for (_, _, prev), (_, _, cur) in itertools.pairwise(counts["baseline"]):
+            ratio = cur / prev
             assert 4 / 1.5 <= ratio <= 4 * 1.5, f"baseline ratio {ratio}"
         assert time.perf_counter() - started < 120

@@ -165,16 +165,6 @@ def test_difftest_fault_exit(capsys):
     assert "MISMATCH" in out
 
 
-def test_bench_csv(tmp_path, capsys):
-    target = tmp_path / "rows.csv"
-    code, out, _ = run(capsys, "bench", "--sizes", "50,100", "--reps", "1",
-                       "--csv", str(target))
-    assert code == 0 and out == ""
-    lines = target.read_text().strip().splitlines()
-    assert lines[0].startswith("algorithm,")
-    assert len(lines) == 5
-
-
 def test_usage_error_budget(capsys):
     code, _, err = run(capsys, "sege", "--text", "a", "--pattern", "a",
                        "--segments", "0")
@@ -192,3 +182,9 @@ def test_size_limit_exit(capsys):
     code, _, err = run(capsys, "seglcs", "--t1", "a" * 30, "--t2", "a",
                        "--segments", "1", "--algo", "oracle")
     assert code == 3 and "capped" in err
+
+
+def test_resource_limit_exit(capsys):
+    code, out, err = run(capsys, "indseglcs", "--t1", "ab" * 10_000,
+                         "--t2", "ba" * 10_000, "--f1", "5000", "--f2", "5000")
+    assert code == 4 and out == "" and "physical memory" in err

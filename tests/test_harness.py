@@ -1,15 +1,8 @@
-"""Tests for instance generation, differential runs, and the benchmark."""
+"""Tests for instance generation and differential runs."""
 
 import pytest
 
-from segsub.harness import (
-    CSV_COLUMNS,
-    benchmark,
-    differential_run,
-    faulty_solvers,
-    generate_instance,
-    rows_to_csv,
-)
+from segsub.harness import differential_run, faulty_solvers, generate_instance
 from segsub.seglcs import slcs_baseline, slcs_diagonal
 
 
@@ -86,44 +79,3 @@ class TestDifferential:
     def test_unknown_fault(self):
         with pytest.raises(ValueError):
             faulty_solvers("gremlins")
-
-
-class TestBenchmark:
-    def test_rows_and_csv(self):
-        rows = benchmark([64, 128], f=3, reps=2, seed=6)
-        assert len(rows) == 4
-        assert [r.algorithm for r in rows] == sorted(r.algorithm for r in rows)
-        csv = rows_to_csv(rows)
-        lines = csv.strip().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 5
-        assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
-
-    def test_counters_deterministic(self):
-        a = benchmark([64, 128], reps=1, seed=7)
-        b = benchmark([64, 128], reps=1, seed=7)
-        strip = lambda rows: [
-            (r.algorithm, r.n1, r.n2, r.f, r.ell, r.cell_visits) for r in rows
-        ]
-        assert strip(a) == strip(b)
-
-    def test_visit_trends_at_small_scale(self):
-        rows = benchmark([100, 200, 400], f=4, reps=1, seed=8)
-        diag = [r.cell_visits for r in rows if r.algorithm == "diagonal"]
-        base = [r.cell_visits for r in rows if r.algorithm == "baseline"]
-        assert base[1] / base[0] == 4 and base[2] / base[1] == 4
-        assert 1.5 <= diag[1] / diag[0] <= 2.5
-        assert 1.5 <= diag[2] / diag[1] <= 2.5
-
-    def test_uniform_family_no_speedup_regime(self):
-        # with unrelated texts the answer is far from n1 and the diagonal
-        # solver's visits land in the same order of magnitude as the baseline
-        rows = benchmark([60], f=2, family="uniform", alphabet=2, reps=1, seed=9)
-        visits = {r.algorithm: r.cell_visits for r in rows}
-        assert visits["diagonal"] >= visits["baseline"] // 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            benchmark([10], family="nope")
-        with pytest.raises(ValueError):
-            benchmark([10], algorithms=("quantum",))

@@ -1,9 +1,11 @@
 """Tests for the independent-budget solver and the score machinery."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from segsub.core import ResourceLimitError
 from segsub.indseglcs import indseglcs, segmentation_score, side_config
 from segsub.oracle import indseglcs_bruteforce, slcs_bruteforce
 from segsub.seglcs import slcs_diagonal
@@ -241,6 +243,19 @@ class TestSolver:
             indseglcs(b"a", b"a", 0, 1)
         with pytest.raises(ValueError):
             indseglcs(b"a", b"a", 1, -2)
+
+    def test_oversized_tables_refused_before_allocating(self):
+        # n = 20000 at f = 5000 is the count family with g = 5000: five
+        # diagonals of 20001 * 4 * 5001 * 5001 float32, about 40 TB
+        t1, t2 = b"ab" * 10_000, b"ba" * 10_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="GiB"):
+                indseglcs(t1, t2, 5000, 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_metamorphic_properties():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from segsub import segmatch
 from segsub.oracle import (
     OracleLimitError,
     episode_bruteforce,
@@ -91,6 +92,14 @@ class TestIndSeglcs:
     def test_size_limit(self):
         with pytest.raises(OracleLimitError):
             indseglcs_bruteforce(b"a" * 15, b"a", 1, 1)
+
+    def test_independent_of_the_solvers(self, monkeypatch):
+        # the oracle must not reach the segmatch solver family it checks
+        def refuse(*args):
+            raise AssertionError("oracle called segmatch.min_segments")
+
+        monkeypatch.setattr(segmatch, "min_segments", refuse)
+        assert indseglcs_bruteforce(b"abcxdexf", b"abycdef", 3, 2) == 6
 
 
 class TestEpisode:

@@ -24,6 +24,7 @@ from helpers import (
     classic_lcs_len,
     longest_common_substring_len,
     random_text,
+    seglcs_visit_counts,
     shortest_prefix_tables,
 )
 
@@ -327,6 +328,29 @@ class TestInstrumentation:
         stats = SolveStats()
         assert slcs_diagonal(b"ab" * 100, b"ab" * 100, 1, stats=stats) == 200
         assert stats.cell_visits <= 2 * 200
+
+
+class TestVisitCounters:
+    def test_counters_deterministic(self):
+        a = seglcs_visit_counts([64, 128], seed=7)
+        b = seglcs_visit_counts([64, 128], seed=7)
+        assert a == b
+
+    def test_visit_trends_at_small_scale(self):
+        counts = seglcs_visit_counts([100, 200, 400], f=4, seed=8)
+        diag = [visits for _, _, visits in counts["diagonal"]]
+        base = [visits for _, _, visits in counts["baseline"]]
+        assert base[1] / base[0] == 4 and base[2] / base[1] == 4
+        assert 1.5 <= diag[1] / diag[0] <= 2.5
+        assert 1.5 <= diag[2] / diag[1] <= 2.5
+
+    def test_uniform_family_no_speedup_regime(self):
+        # with unrelated texts the answer is far from n1 and the diagonal
+        # solver's visits land in the same order of magnitude as the baseline
+        counts = seglcs_visit_counts([60], f=2, similarity=None, alphabet=2, seed=9)
+        (_, _, diag), = counts["diagonal"]
+        (_, _, base), = counts["baseline"]
+        assert diag >= base // 20
 
 
 def test_index_backends_give_identical_runs(monkeypatch):
