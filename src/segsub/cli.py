@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -169,6 +170,30 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _shell_word(data: bytes) -> str:
+    text = _latin(data)
+    if text.isascii() and text.isprintable() and not text.startswith("@"):
+        return shlex.quote(text)
+    # any other text reaches the CLI as an @file that bash makes from octal
+    # escapes; the trailing \r\n is what the file reader strips
+    return "@<(printf '" + "".join(f"\\{b:03o}" for b in data) + "\\r\\n')"
+
+
+def _replay_command(m: harness.Mismatch, fault: str | None) -> str:
+    """The ``segsub`` command that reruns a mismatched case with the
+    algorithm that failed it."""
+    a, b = (_shell_word(t) for t in harness.solver_texts(m, fault))
+    if m.kind == "minsege":
+        args = f"--text {a} --pattern {b}"
+    elif m.kind == "sege":
+        args = f"--text {a} --pattern {b} --segments {m.budgets[0]} --algo {m.algorithm}"
+    elif m.kind == "seglcs":
+        args = f"--t1 {a} --t2 {b} --segments {m.budgets[0]} --algo {m.algorithm}"
+    else:
+        args = f"--t1 {a} --t2 {b} --f1 {m.budgets[0]} --f2 {m.budgets[1]}"
+    return f"segsub {m.kind} {args}"
+
+
 def _cmd_difftest(args) -> int:
     fault = args.inject_fault
     report = harness.differential_run(
@@ -188,6 +213,7 @@ def _cmd_difftest(args) -> int:
                         "algorithm": m.algorithm,
                         "expected": m.expected,
                         "got": m.got,
+                        "replay": _replay_command(m, fault),
                     }
                     for m in report.mismatches
                 ],
@@ -200,6 +226,7 @@ def _cmd_difftest(args) -> int:
                 f"MISMATCH {m.kind} algo={m.algorithm} texts={m.texts!r} "
                 f"budgets={m.budgets} expected={m.expected} got={m.got}"
             )
+            _emit(f"REPLAY {_replay_command(m, fault)}")
     return 0 if report.ok else 1
 
 

@@ -15,7 +15,8 @@ SeglcsSolver = Callable[[bytes, bytes, int], int]
 
 SEGLCS_SOLVERS = {"baseline": seglcs.slcs_baseline, "diagonal": seglcs.slcs_diagonal}
 
-FAULTS = ("text-off-by-one",)
+# each fault corrupts the texts that the diagonal seglcs solver is given
+FAULTS = {"text-off-by-one": lambda t1, t2: (t1[:-1], t2)}
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,26 @@ class DifferentialReport:
         )
 
 
-def _diagonal_text_off_by_one(t1: bytes, t2: bytes, f: int) -> int:
-    # a deliberate fault: the diagonal solver never sees the last symbol of t1
-    return seglcs.slcs_diagonal(t1[:-1], t2, f)
-
-
 def faulty_solvers(fault: str) -> dict[str, SeglcsSolver]:
-    """The seglcs solvers with the diagonal one replaced by a known fault,
-    for validating that ``differential_run`` reports mismatches."""
+    """The seglcs solvers with the diagonal one run on the texts as a known
+    fault corrupts them, for validating that ``differential_run`` reports
+    mismatches."""
     if fault not in FAULTS:
         raise ValueError(f"unknown fault mode {fault!r}")
-    return {**SEGLCS_SOLVERS, "diagonal": _diagonal_text_off_by_one}
+    corrupt = FAULTS[fault]
+
+    def diagonal(t1: bytes, t2: bytes, f: int) -> int:
+        return seglcs.slcs_diagonal(*corrupt(t1, t2), f)
+
+    return {**SEGLCS_SOLVERS, "diagonal": diagonal}
+
+
+def solver_texts(m: Mismatch, fault: str | None) -> tuple[bytes, bytes]:
+    """The texts that the mismatched algorithm ran on: the case's own, or
+    under an injected fault, the corrupted ones the diagonal solver saw."""
+    if fault is not None and m.kind == "seglcs" and m.algorithm == "diagonal":
+        return FAULTS[fault](*m.texts)
+    return m.texts
 
 
 def differential_run(

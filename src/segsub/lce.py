@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_text
+from .core import as_text, check_allocation
 
 QUADRATIC_CELL_LIMIT = 10**6  # auto mode switches to the suffix array above this
 _SEPARATOR = 256  # one past the byte alphabet, never occurs in a text
@@ -22,16 +22,23 @@ def lcsuf_matrix(t1: bytes, t2: bytes) -> np.ndarray:
     """Dense (n1+1) x (n2+1) table of common-suffix lengths.
 
     Row and column 0 are zero; x[i, j] = x[i-1, j-1] + 1 when t1[i] == t2[j]
-    and 0 otherwise.
+    and 0 otherwise. Each distinct symbol c of t1 gets one int32 mask
+    (t2 == c), and row i is row i-1 shifted right, plus one, times the mask
+    of t1[i], computed in place.
     """
     n1, n2 = len(t1), len(t2)
+    symbols = set(t1)
+    check_allocation(
+        4 * ((n1 + 1) * (n2 + 1) + len(symbols) * n2), "the lcsuf matrix"
+    )
     x = np.zeros((n1 + 1, n2 + 1), dtype=np.int32)
     if n1 and n2:
-        a = np.frombuffer(t1, dtype=np.uint8)
         b = np.frombuffer(t2, dtype=np.uint8)
-        eq = a[:, None] == b[None, :]
-        for i in range(1, n1 + 1):
-            x[i, 1:] = np.where(eq[i - 1], x[i - 1, :-1] + 1, 0)
+        masks = {c: (b == c).astype(np.int32) for c in symbols}
+        for i, c in enumerate(t1, start=1):
+            row = x[i, 1:]
+            np.add(x[i - 1, :-1], 1, out=row)
+            row *= masks[c]
     return x
 
 

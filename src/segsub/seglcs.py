@@ -3,7 +3,10 @@
 ``slcs_baseline`` fills the prefix table C(i, j, h) layer by layer in
 O(f*n1*n2) time; each layer is the 2D running maximum of the candidate
 matrix Z(i, j) = x + C(i-x, j-x, h-1) with x the common-suffix length, so a
-layer reduces to one gather and two cumulative maxima.
+layer reduces to one gather and two cumulative maxima. In the row-major
+layout of an (n1+1) x (n2+1) layer, cell (i-x, j-x) lies x*(n2+2) places
+before cell (i, j), whatever the layer, so the gather reads the previous
+layer through flat source offsets computed from x alone.
 
 ``slcs_diagonal`` fills sparse shortest-prefix tables L(i, s, h) one
 diagonal (i - s = const) at a time with a non-resetting scan pointer over
@@ -18,10 +21,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Embedding, Segmentation, as_text, check_budget
+from .core import Embedding, Segmentation, as_text, check_allocation, check_budget
 from .lce import LcsufIndex, lcsuf_matrix
 
-_GATHER_BLOCK = 512  # rows gathered at a time; bounds temp memory on big inputs
+_GATHER_BLOCK = 128  # rows gathered at a time; bounds the offset buffer
 
 
 @dataclass
@@ -39,23 +42,43 @@ def _clamp_budget(f: int, shorter: int) -> int:
 
 def _chain_layers(x: np.ndarray, f: int) -> Iterator[np.ndarray]:
     """Yield the prefix-table layers C[h] for h = 0..f from the common-suffix
-    table ``x``; only the previous layer is kept between steps."""
-    n1, n2 = x.shape[0] - 1, x.shape[1] - 1
-    cols = np.arange(1, n2 + 1, dtype=np.int32)
+    table ``x``; only the previous layer is kept between steps.
+
+    Each layer is gathered a block of rows at a time: the flat source of
+    cell p is p - x[p]*(n2+2), written into one reused offset buffer, and
+    ``np.take`` reads the previous layer through it straight into the new
+    one. The sources are in range by construction (i - x >= 0, j - x >= 0),
+    so ``mode="clip"`` changes no value; it only spares ``take`` the copy
+    of ``out`` that bounds checking makes.
+    """
+    width = x.shape[1]
+    flat_x = x.ravel()
+    step = _GATHER_BLOCK * width
+    src = np.empty(min(step, x.size), dtype=np.intp)
     # np.zeros leaves C[0]'s pages untouched (zeros_like would write them)
     prev = np.zeros(x.shape, dtype=x.dtype)
     yield prev
     for _ in range(f):
-        cur = np.zeros_like(x)
-        for lo in range(1, n1 + 1, _GATHER_BLOCK):
-            hi = min(lo + _GATHER_BLOCK, n1 + 1)
-            xb = x[lo:hi, 1:]
-            rows = np.arange(lo, hi, dtype=np.int32)[:, None]
-            cur[lo:hi, 1:] = xb + prev[rows - xb, cols - xb]
+        cur = np.empty(x.shape, dtype=x.dtype)
+        for lo in range(0, x.size, step):
+            hi = min(lo + step, x.size)
+            block = src[: hi - lo]
+            np.multiply(flat_x[lo:hi], -(width + 1), out=block, dtype=np.intp)
+            np.add(block, np.arange(lo, hi), out=block)
+            np.take(prev.ravel(), block, out=cur.ravel()[lo:hi], mode="clip")
+        cur += x
         np.maximum.accumulate(cur, axis=0, out=cur)
         np.maximum.accumulate(cur, axis=1, out=cur)
         yield cur
         prev = cur
+
+
+def _check_dense(n1: int, n2: int, layers: int, what: str) -> None:
+    """Refuse a dense solve whose int32 lcsuf table, ``layers`` live prefix
+    layers and one block of gather offsets would exceed physical memory."""
+    cells = (n1 + 1) * (n2 + 1)
+    offsets = 2 * 8 * min(_GATHER_BLOCK * (n2 + 1), cells)  # buffer and arange
+    check_allocation(4 * cells * (1 + layers) + offsets, what)
 
 
 def slcs_baseline(
@@ -68,17 +91,12 @@ def slcs_baseline(
     if n1 == 0 or n2 == 0:
         return 0
     f = _clamp_budget(f, min(n1, n2))
+    _check_dense(n1, n2, 2, "the baseline's prefix layers")
     for layer in _chain_layers(lcsuf_matrix(t1, t2), f):
         pass
     if stats is not None:
         stats.cell_visits += f * n1 * n2
     return int(layer[n1, n2])
-
-
-def chain_table(t1: bytes | str, t2: bytes | str, f: int) -> list[np.ndarray]:
-    """All layers C[h][i, j] for h = 0..f (no budget clamping; test helper)."""
-    check_budget(f)
-    return list(_chain_layers(lcsuf_matrix(as_text(t1), as_text(t2)), f))
 
 
 def slcs_witness(
@@ -93,6 +111,7 @@ def slcs_witness(
     t1, t2 = as_text(t1), as_text(t2)
     n1, n2 = len(t1), len(t2)
     f_used = _clamp_budget(f, min(n1, n2)) if n1 and n2 else 1
+    _check_dense(n1, n2, f_used + 1, "the witness's prefix layers")
     x = lcsuf_matrix(t1, t2)
     layers = list(_chain_layers(x, f_used))
     length = int(layers[f_used][n1, n2])

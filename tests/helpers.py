@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from segsub.harness import generate_instance
-from segsub.seglcs import SolveStats, chain_table, slcs_baseline, slcs_diagonal
+from segsub.lce import lcsuf_matrix
+from segsub.seglcs import SolveStats, _chain_layers, slcs_baseline, slcs_diagonal
 
 
 def random_text(rng: random.Random, max_len: int, alphabet: int = 3) -> bytes:
@@ -62,6 +63,44 @@ def seglcs_visit_counts(
 def greedy_subsequence(t: bytes, p: bytes) -> bool:
     it = iter(t)
     return all(c in it for c in p)
+
+
+def chain_table(t1: bytes, t2: bytes, f: int) -> list:
+    """All layers C[h][i, j] for h = 0..f from the baseline's layer
+    generator, with no budget clamping."""
+    return list(_chain_layers(lcsuf_matrix(t1, t2), f))
+
+
+def chain_table_reference(t1: bytes, t2: bytes, f: int) -> list[list[list[int]]]:
+    """The same layers one cell at a time: C[h][i][j] is the largest of
+    C[h][i-1][j], C[h][i][j-1] and x + C[h-1][i-x][j-x], where x is the
+    common-suffix length of t1[:i] and t2[:j]."""
+    n1, n2 = len(t1), len(t2)
+    suffix = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    for i in range(1, n1 + 1):
+        for j in range(1, n2 + 1):
+            if t1[i - 1] == t2[j - 1]:
+                suffix[i][j] = suffix[i - 1][j - 1] + 1
+    layers = [[[0] * (n2 + 1) for _ in range(n1 + 1)]]
+    for _ in range(f):
+        below = layers[-1]
+        layer = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+        for i in range(1, n1 + 1):
+            for j in range(1, n2 + 1):
+                x = suffix[i][j]
+                layer[i][j] = max(
+                    layer[i - 1][j], layer[i][j - 1], x + below[i - x][j - x]
+                )
+        layers.append(layer)
+    return layers
+
+
+def brute_lcsuf(t1: bytes, t2: bytes, i: int, j: int) -> int:
+    """The largest x with t1[i-x:i] == t2[j-x:j], one symbol at a time."""
+    x = 0
+    while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
+        x += 1
+    return x
 
 
 def shortest_prefix_tables(t1: bytes, t2: bytes, f: int) -> list[list[list[int]]]:

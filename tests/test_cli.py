@@ -1,10 +1,18 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from segsub.cli import main
+import segsub
+from segsub.cli import _replay_command, main
+from segsub.harness import Mismatch
 
 
 def run(capsys, *args):
@@ -163,6 +171,49 @@ def test_difftest_fault_exit(capsys):
                        "--inject-fault", "text-off-by-one")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_difftest_replay_reproduces_fault(capsys):
+    code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2",
+                       "--inject-fault", "text-off-by-one")
+    lines = out.splitlines()[1:]
+    assert code == 1 and len(lines) == 12
+    for mismatch, replay in zip(lines[::2], lines[1::2]):
+        assert mismatch.startswith("MISMATCH seglcs algo=diagonal ")
+        expected, got = mismatch.split(" expected=")[1].split(" got=")
+        assert replay.startswith("REPLAY segsub ")
+        code, replayed, _ = run(capsys, *shlex.split(replay)[2:])
+        assert code == 0 and replayed == got + "\n" != expected + "\n"
+
+
+@pytest.mark.parametrize("kind, budgets, algorithm, argv", [
+    ("minsege", (), "min_segments", ["minsege", "--text", "abc", "--pattern", "ac"]),
+    ("sege", (2,), "kmp2",
+     ["sege", "--text", "abc", "--pattern", "ac", "--segments", "2", "--algo", "kmp2"]),
+    ("seglcs", (3,), "baseline",
+     ["seglcs", "--t1", "abc", "--t2", "ac", "--segments", "3", "--algo", "baseline"]),
+    ("indseglcs", (1, 2), "tables",
+     ["indseglcs", "--t1", "abc", "--t2", "ac", "--f1", "1", "--f2", "2"]),
+])
+def test_replay_command_per_kind(kind, budgets, algorithm, argv):
+    m = Mismatch(kind, (b"abc", b"ac"), budgets, algorithm, 0, 1)
+    assert shlex.split(_replay_command(m, None)) == ["segsub", *argv]
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_replay_texts_survive_the_shell():
+    # a NUL byte, a leading "@" and trailing line ends cannot pass as they are
+    text = b"@" + bytes(range(256)) + b"\r\n"
+    m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
+    command = _replay_command(m, None).replace(
+        "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(segsub.__file__).parents[1])}
+    done = subprocess.run(["bash", "-c", command + " --witness --json"],
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    witness = json.loads(done.stdout)["witness"]
+    assert witness["segments"] == [text.decode("latin-1")]
 
 
 def test_usage_error_budget(capsys):

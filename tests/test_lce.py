@@ -6,12 +6,7 @@ import pytest
 
 from segsub.lce import LcsufIndex, lcsuf_matrix
 
-
-def brute_lcsuf(t1: bytes, t2: bytes, i: int, j: int) -> int:
-    x = 0
-    while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
-        x += 1
-    return x
+from helpers import brute_lcsuf
 
 
 def test_worked_example():

@@ -1,18 +1,20 @@
 """Tests for the two segmental-LCS solvers and witness reconstruction."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from segsub import lce
-from segsub.core import verify_embedding
+from segsub.core import ResourceLimitError, verify_embedding
 from segsub.harness import generate_instance
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import slcs_bruteforce
 from segsub.seglcs import (
+    _GATHER_BLOCK,
     DiagonalRun,
     SolveStats,
-    chain_table,
     diagonal_run,
     dump_diagonal_tables,
     slcs_baseline,
@@ -21,6 +23,9 @@ from segsub.seglcs import (
 )
 
 from helpers import (
+    brute_lcsuf,
+    chain_table,
+    chain_table_reference,
     classic_lcs_len,
     longest_common_substring_len,
     random_text,
@@ -113,6 +118,51 @@ class TestBaseline:
         stats = SolveStats()
         slcs_baseline(T1, T2, 3, stats=stats)
         assert stats.cell_visits == 3 * 8 * 8
+
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 300), (129, 129), (1, 200), (200, 1)])
+    def test_chain_layers_across_gather_blocks(self, shape):
+        # 301 and 130 table rows span two or three gather blocks
+        assert _GATHER_BLOCK < 129
+        rng = random.Random(shape[0] * 1000 + shape[1])
+        for alphabet in (1, 2, 4):
+            t1, t2 = (bytes(97 + rng.randrange(alphabet) for _ in range(n)) for n in shape)
+            layers = chain_table(t1, t2, 4)
+            for h, want in enumerate(chain_table_reference(t1, t2, 4)):
+                assert np.array_equal(layers[h], want), (alphabet, h)
+
+
+def test_lcsuf_matrix_matches_definition():
+    rng = random.Random(15)
+    for case in range(90):
+        n1, n2 = rng.randint(0, 40), rng.randint(0, 40)
+        t1 = bytes(97 + rng.randrange(3) for _ in range(n1))
+        if case % 3 == 0:  # no symbol in common
+            t2 = bytes(100 + rng.randrange(3) for _ in range(n2))
+        elif case % 3 == 1:  # some symbols of t1 never occur in t2
+            t2 = bytes(98 + rng.randrange(3) for _ in range(n2))
+        else:
+            t2 = bytes(97 + rng.randrange(3) for _ in range(n2))
+        x = lcsuf_matrix(t1, t2)
+        assert x.shape == (n1 + 1, n2 + 1) and x.dtype == np.int32
+        want = [[brute_lcsuf(t1, t2, i, j) for j in range(n2 + 1)] for i in range(n1 + 1)]
+        assert np.array_equal(x, want), (t1, t2)
+
+
+def test_oversized_tables_refused_before_allocating():
+    # two 10**6-symbol texts: the int32 lcsuf table alone is about 4 TB
+    t1, t2 = b"ab" * 500_000, b"ba" * 500_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="baseline's .* GiB"):
+            slcs_baseline(t1, t2, 4)
+        with pytest.raises(ResourceLimitError, match="witness's .* GiB"):
+            slcs_witness(t1, t2, 4)
+        with pytest.raises(ResourceLimitError, match="lcsuf matrix .* GiB"):
+            lcsuf_matrix(t1, t2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestFullShortestPrefixTable:
