@@ -18,13 +18,7 @@ from .oracle import (
     slcs_bruteforce,
 )
 from .reduction import build_episode_reduction, check_reduction_equivalence
-from .segmatch import (
-    compute_lpf,
-    compute_lsf,
-    min_segments,
-    seg2_linear,
-    sege,
-)
+from .segmatch import min_segments, seg2_linear, sege
 from .seglcs import (
     SolveStats,
     slcs_baseline,
@@ -45,8 +39,6 @@ __all__ = [
     "build_episode_reduction",
     "check_budget",
     "check_reduction_equivalence",
-    "compute_lpf",
-    "compute_lsf",
     "episode_bruteforce",
     "indseglcs",
     "indseglcs_bruteforce",

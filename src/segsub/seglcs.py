@@ -190,11 +190,11 @@ def diagonal_run(
     f = _clamp_budget(f, n1)
     inf = n2 + 1
     index = LcsufIndex(t1, t2)
-    # the index's flat lists, read below without bounds checks; by_i[i] is
-    # the lcsuf row of t1[1..i] (quadratic mode) or its suffix-array rank
-    rows, rank2, levels = index.rows, index.rank2, index.levels
-    by_i = rows if rows is not None else index.rank1
+    # the index's flat lists, read below without bounds checks
+    rank1, rank2, levels = index.rank1, index.rank2, index.levels
     find = t2.find
+    # before[i - 1] is t1[i-1] (1-based) for i >= 2; its first byte is never read
+    before = b"\0" + t1
 
     tables: list[list[list[int]] | None] = [None] + [[] for _ in range(f)]
     max_v = [0] * (f + 1)
@@ -215,11 +215,13 @@ def diagonal_run(
             column = [0]
             level.append(column)
             j = 1  # the scan pointer never moves back along a diagonal
-            for s, a, key in zip(range(1, n1 - diag + 1), t1[diag:], by_i[diag + 1:]):
+            for s, a, b, key in zip(
+                range(1, n1 - diag + 1), t1[diag:], before[diag:], rank1[diag + 1:]
+            ):
                 # L(h, i, s) with i = s + diag is the first j >= the pointer
                 # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
                 # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
-                # t2[j] == t1[i], so only those j are queried
+                # t2[j] == t1[i] (= a), so only those j are queried
                 stop = left[s] if s < n_left else inf
                 if stop == j:
                     cand = 0
@@ -232,9 +234,20 @@ def diagonal_run(
                         cand = find(a, j - 1, stop - 1) + 1  # 0 when none
                 value = stop
                 while cand:
-                    if rows is not None:
-                        x = key[cand]
-                    else:  # range minimum of the LCP array between the ranks
+                    # Two exact tests spare most range minima. First,
+                    # x + L(h-1, i-x, s-x) never grows with x (dropping the
+                    # last common symbol of a level h-1 solution shortens
+                    # both prefixes by one), so when x = 1 passes, the full
+                    # lcsuf passes too; up[0] = 0 passes every s = 1. Second,
+                    # lcsuf is 1, which has just failed, when the symbols
+                    # before t1[i] and t2[cand] differ: b and t2[cand-1]
+                    # (cand = 1 reads t2[-1]; should it equal b, the range
+                    # minimum still gives 1).
+                    if s <= n_up and cand > up[s - 1]:
+                        value = cand
+                        break
+                    if t2[cand - 2] == b:
+                        # range minimum of the LCP array between the ranks
                         lo, hi = key, rank2[cand]
                         if lo > hi:
                             lo, hi = hi, lo
@@ -243,10 +256,10 @@ def diagonal_run(
                         y = levels[k][hi - (1 << k)]
                         if y < x:
                             x = y
-                    # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
-                    if x >= s or (s - x < n_up and cand >= x + up[s - x]):
-                        value = cand
-                        break
+                        # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
+                        if x >= s or (s - x < n_up and cand >= x + up[s - x]):
+                            value = cand
+                            break
                     cand = find(a, cand, stop - 1) + 1
                 column.append(value)
                 # every j from the pointer to the cell's value was visited

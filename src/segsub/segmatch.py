@@ -103,18 +103,6 @@ class KmpAutomaton:
             yield state
 
 
-def compute_lpf(t: bytes | str, p: bytes | str) -> list[int]:
-    """lpf[i]: length of the longest prefix of ``p`` ending at text position i
-    (returned 0-based, value for position i at index i-1)."""
-    return list(KmpAutomaton(p).states(as_text(t)))
-
-
-def compute_lsf(t: bytes | str, p: bytes | str) -> list[int]:
-    """lsf[i]: length of the longest suffix of ``p`` starting at position i,
-    streamed right to left through the automaton of the reversed pattern."""
-    return list(KmpAutomaton(as_text(p)[::-1]).states(reversed(as_text(t))))[::-1]
-
-
 def llpf_breakpoints(lpf: Iterable[int]) -> list[tuple[int, int]]:
     """(position, value) pairs where the running maximum of lpf strictly
     increases; at most |p|+1 entries since values range over 0..|p|."""
@@ -125,19 +113,6 @@ def llpf_breakpoints(lpf: Iterable[int]) -> list[tuple[int, int]]:
             top = value
             breakpoints.append((idx, value))
     return breakpoints
-
-
-def llpf_from_breakpoints(breakpoints: list[tuple[int, int]], n: int) -> list[int]:
-    """Reconstruct the full llpf array from its breakpoints."""
-    out = [0] * n
-    value = 0
-    k = 0
-    for i in range(1, n + 1):
-        if k < len(breakpoints) and breakpoints[k][0] == i:
-            value = breakpoints[k][1]
-            k += 1
-        out[i - 1] = value
-    return out
 
 
 def seg2_linear(t: bytes | str, p: bytes | str) -> bool:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+from segsub.core import as_text
 from segsub.harness import generate_instance
 from segsub.lce import lcsuf_matrix
+from segsub.segmatch import KmpAutomaton
 from segsub.seglcs import SolveStats, _chain_layers, slcs_baseline, slcs_diagonal
 
 
@@ -58,6 +60,31 @@ def seglcs_visit_counts(
             stats = SolveStats()
             counts[name].append((n, solver(t1, t2, f, stats=stats), stats.cell_visits))
     return counts
+
+
+def compute_lpf(t: bytes | str, p: bytes | str) -> list[int]:
+    """lpf[i]: length of the longest prefix of ``p`` ending at text position i
+    (returned 0-based, value for position i at index i-1)."""
+    return list(KmpAutomaton(p).states(as_text(t)))
+
+
+def compute_lsf(t: bytes | str, p: bytes | str) -> list[int]:
+    """lsf[i]: length of the longest suffix of ``p`` starting at position i,
+    streamed right to left through the automaton of the reversed pattern."""
+    return list(KmpAutomaton(as_text(p)[::-1]).states(reversed(as_text(t))))[::-1]
+
+
+def llpf_from_breakpoints(breakpoints: list[tuple[int, int]], n: int) -> list[int]:
+    """Reconstruct the full llpf array from its breakpoints."""
+    out = [0] * n
+    value = 0
+    k = 0
+    for i in range(1, n + 1):
+        if k < len(breakpoints) and breakpoints[k][0] == i:
+            value = breakpoints[k][1]
+            k += 1
+        out[i - 1] = value
+    return out
 
 
 def greedy_subsequence(t: bytes, p: bytes) -> bool:

@@ -14,19 +14,14 @@ from segsub.indseglcs import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import min_segments_bruteforce
 from segsub.reduction import build_episode_reduction, check_reduction_equivalence
-from segsub.segmatch import (
-    compute_lpf,
-    compute_lsf,
-    llpf_breakpoints,
-    llpf_from_breakpoints,
-    min_segments,
-    seg2_linear,
-    sege,
-)
+from segsub.segmatch import llpf_breakpoints, min_segments, seg2_linear, sege
 from segsub.seglcs import diagonal_run, slcs_baseline, slcs_diagonal
 
 from helpers import (
     classic_lcs_len,
+    compute_lpf,
+    compute_lsf,
+    llpf_from_breakpoints,
     random_text,
     seglcs_visit_counts,
     shortest_prefix_tables,
@@ -197,17 +192,18 @@ def test_criterion_7_invariant_suite():
             )
             assert all(a <= b for a, b in zip(rebuilt, rebuilt[1:]))
 
-        # cross-mode agreement on full query grids, lengths up to 200
+        # the suffix-array index agrees with the dense lcsuf table, two
+        # independent constructions, on full query grids up to length 200
         sizes = [(200, 200), (200, 37), (1, 200), (0, 50)]
         sizes += [(rng.randint(0, 200), rng.randint(0, 200)) for _ in range(4)]
         for n1, n2 in sizes:
             t1 = bytes(97 + rng.randrange(3) for _ in range(n1))
             t2 = bytes(97 + rng.randrange(3) for _ in range(n2))
-            quad = LcsufIndex(t1, t2, mode="quadratic")
-            sa = LcsufIndex(t1, t2, mode="suffix-array")
+            index = LcsufIndex(t1, t2)
+            dense = lcsuf_matrix(t1, t2)
             for i in range(n1 + 1):
                 for j in range(n2 + 1):
-                    assert quad.query(i, j) == sa.query(i, j)
+                    assert index.query(i, j) == dense[i, j]
 
 
 def test_criterion_8_complexity_trend():

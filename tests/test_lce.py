@@ -1,4 +1,4 @@
-"""Tests for the common-suffix-of-prefixes index, both backends."""
+"""Tests for the common-suffix-of-prefixes index and the dense table."""
 
 import random
 
@@ -21,10 +21,9 @@ def test_derived_cells():
 
 
 def test_identical_texts():
-    for mode in ("quadratic", "suffix-array"):
-        index = LcsufIndex(b"abcde", b"abcde", mode=mode)
-        assert index.query(5, 5) == 5
-        assert index.query(3, 3) == 3
+    index = LcsufIndex(b"abcde", b"abcde")
+    assert index.query(5, 5) == 5
+    assert index.query(3, 3) == 3
 
 
 def test_disjoint_alphabets():
@@ -50,20 +49,9 @@ def test_out_of_range_rejected():
         index.query(-1, 0)
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        LcsufIndex(b"a", b"a", mode="tree")
-
-
-def test_auto_mode_selection():
-    assert LcsufIndex(b"a" * 10, b"a" * 10).mode == "quadratic"
-    assert LcsufIndex(b"a" * 1100, b"a" * 1100).mode == "suffix-array"
-
-
 def test_empty_texts():
-    for mode in ("quadratic", "suffix-array"):
-        index = LcsufIndex(b"", b"abc", mode=mode)
-        assert index.query(0, 3) == 0
+    index = LcsufIndex(b"", b"abc")
+    assert index.query(0, 3) == 0
 
 
 def test_matrix_recurrence():
@@ -77,20 +65,17 @@ def test_matrix_recurrence():
                 assert x[i, j] == 0
 
 
-def test_cross_mode_agreement_exhaustive():
+def test_query_matches_brute_force_exhaustive():
     rng = random.Random(9)
     for alphabet in (1, 2, 4):
         for _ in range(25):
             n1, n2 = rng.randint(0, 30), rng.randint(0, 30)
             t1 = bytes(97 + rng.randrange(alphabet) for _ in range(n1))
             t2 = bytes(97 + rng.randrange(alphabet) for _ in range(n2))
-            quad = LcsufIndex(t1, t2, mode="quadratic")
-            sa = LcsufIndex(t1, t2, mode="suffix-array")
+            index = LcsufIndex(t1, t2)
             for i in range(n1 + 1):
                 for j in range(n2 + 1):
-                    expected = brute_lcsuf(t1, t2, i, j)
-                    assert quad.query(i, j) == expected
-                    assert sa.query(i, j) == expected
+                    assert index.query(i, j) == brute_lcsuf(t1, t2, i, j)
 
 
 def test_query_properties():
@@ -99,7 +84,7 @@ def test_query_properties():
         n1, n2 = rng.randint(1, 25), rng.randint(1, 25)
         t1 = bytes(97 + rng.randrange(2) for _ in range(n1))
         t2 = bytes(97 + rng.randrange(2) for _ in range(n2))
-        index = LcsufIndex(t1, t2, mode="suffix-array")
+        index = LcsufIndex(t1, t2)
         for i in range(n1 + 1):
             for j in range(n2 + 1):
                 q = index.query(i, j)

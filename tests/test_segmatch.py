@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from segsub.oracle import min_segments_bruteforce
 from segsub.segmatch import (
     KmpAutomaton,
-    compute_lpf,
-    compute_lsf,
     format_cost_tables,
     llpf_breakpoints,
-    llpf_from_breakpoints,
     min_segments,
     min_segments_tables,
     seg2_linear,
     sege,
 )
 
-from helpers import random_text
+from helpers import compute_lpf, compute_lsf, llpf_from_breakpoints, random_text
 
 T1 = b"baacababbabcaacaabcba"
 P1 = b"abbabaca"
