@@ -12,6 +12,11 @@ layer through flat source offsets computed from x alone.
 diagonal (i - s = const) at a time with a non-resetting scan pointer over
 the longer text, skipping whole diagonals that can no longer improve the
 answer; when the solution is long it touches only a sliver of each table.
+
+Both solvers stop at the level fixed point. Level h is the same function of
+level h-1 for every h, so once a level equals the one below it, every deeper
+level equals it too: the deeper levels are not filled, they share the object
+of the level they repeat, and the work counters count only filled levels.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ def _clamp_budget(f: int, shorter: int) -> int:
 
 def _chain_layers(x: np.ndarray, f: int) -> Iterator[np.ndarray]:
     """Yield the prefix-table layers C[h] for h = 0..f from the common-suffix
-    table ``x``; only the previous layer is kept between steps.
+    table ``x``; only the previous layer is kept between steps. Once a layer
+    equals the previous one, every deeper layer equals it too, so that same
+    array is yielded for the remaining levels and none of them is filled.
 
     Each layer is gathered a block of rows at a time: the flat source of
     cell p is p - x[p]*(n2+2), written into one reused offset buffer, and
@@ -58,7 +65,7 @@ def _chain_layers(x: np.ndarray, f: int) -> Iterator[np.ndarray]:
     # np.zeros leaves C[0]'s pages untouched (zeros_like would write them)
     prev = np.zeros(x.shape, dtype=x.dtype)
     yield prev
-    for _ in range(f):
+    for h in range(1, f + 1):
         cur = np.empty(x.shape, dtype=x.dtype)
         for lo in range(0, x.size, step):
             hi = min(lo + step, x.size)
@@ -70,15 +77,21 @@ def _chain_layers(x: np.ndarray, f: int) -> Iterator[np.ndarray]:
         np.maximum.accumulate(cur, axis=0, out=cur)
         np.maximum.accumulate(cur, axis=1, out=cur)
         yield cur
+        # the corners differ on almost every layer below the fixed point
+        if cur[-1, -1] == prev[-1, -1] and np.array_equal(cur, prev):
+            for _ in range(h, f):
+                yield cur
+            return
         prev = cur
 
 
 def _check_dense(n1: int, n2: int, layers: int, what: str) -> None:
     """Refuse a dense solve whose int32 lcsuf table, ``layers`` live prefix
-    layers and one block of gather offsets would exceed physical memory."""
+    layers, one block of gather offsets and the boolean mask of the fixed
+    point test would exceed physical memory."""
     cells = (n1 + 1) * (n2 + 1)
     offsets = 2 * 8 * min(_GATHER_BLOCK * (n2 + 1), cells)  # buffer and arange
-    check_allocation(4 * cells * (1 + layers) + offsets, what)
+    check_allocation(4 * cells * (1 + layers) + cells + offsets, what)
 
 
 def slcs_baseline(
@@ -92,10 +105,13 @@ def slcs_baseline(
         return 0
     f = _clamp_budget(f, min(n1, n2))
     _check_dense(n1, n2, 2, "the baseline's prefix layers")
-    for layer in _chain_layers(lcsuf_matrix(t1, t2), f):
-        pass
+    filled = -1  # C[0] is not filled
+    layer = None
+    for nxt in _chain_layers(lcsuf_matrix(t1, t2), f):
+        filled += nxt is not layer
+        layer = nxt
     if stats is not None:
-        stats.cell_visits += f * n1 * n2
+        stats.cell_visits += filled * n1 * n2
     return int(layer[n1, n2])
 
 
@@ -152,7 +168,8 @@ class DiagonalRun:
 
     tables[h][diag] lists L(s+diag, s, h) for s = 0, 1, ...; a trailing
     ``infinity`` entry records the cell whose scan exhausted the second text.
-    Levels dropped by the two-layer memory policy are None.
+    Levels dropped by the two-layer memory policy are None. Levels past the
+    fixed point share the list of the level they repeat.
     """
 
     tables: list[list[list[int]] | None]
@@ -275,6 +292,13 @@ def diagonal_run(
                 if n1 - diag > max_v[h]:
                     max_v[h] = n1 - diag
             diag += 1
+        if h > 1 and level == below:
+            # level h+1 would be computed from level h exactly as level h
+            # was from level h-1, so every deeper level repeats level h
+            for deeper in range(h + 1, f + 1):
+                tables[deeper] = level
+                max_v[deeper] = max_v[h]
+            break
     if stats is not None:
         stats.cell_visits += visits
     return DiagonalRun(tables, max_v, inf, n1, n2, f)
