@@ -136,8 +136,10 @@ def differential_run(
     """Compare every solver against its brute-force oracle on random inputs.
 
     Each case checks the matching family; the heavier common-subsequence
-    families alternate between cases. ``seglcs_solvers`` maps a name to each
-    solver checked on the seglcs cases.
+    families alternate between cases. Every other seglcs case is a near copy
+    (equal lengths, up to two tail edits), the regime in which the diagonal
+    solver's exact tests settle most lcsuf lookups. ``seglcs_solvers`` maps a
+    name to each solver checked on the seglcs cases.
     """
     rng = random.Random(seed)
     report = DifferentialReport(cases=count)
@@ -170,11 +172,14 @@ def differential_run(
                 )
 
         if case % 2 == 0:
+            n1 = rng.randint(0, max_len)
+            if case % 4 == 0:
+                lengths, similarity = (n1, rng.randint(0, max_len)), None
+            else:
+                lengths, similarity = (n1, n1), rng.randint(0, 2)
             inst = generate_instance(
-                "seglcs",
-                (rng.randint(0, max_len), rng.randint(0, max_len)),
-                alphabet=alphabet,
-                seed=case_seed + 1,
+                "seglcs", lengths, alphabet=alphabet, seed=case_seed + 1,
+                similarity=similarity,
             )
             t1, t2 = inst.texts
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))

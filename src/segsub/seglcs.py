@@ -12,6 +12,9 @@ layer through flat source offsets computed from x alone.
 diagonal (i - s = const) at a time with a non-resetting scan pointer over
 the longer text, skipping whole diagonals that can no longer improve the
 answer; when the solution is long it touches only a sliver of each table.
+Three exact tests settle most of its lcsuf lookups, one of them a match
+carried along each grid diagonal, and the ``LcsufIndex`` is built only at
+the first lookup they leave, so similar texts often need no index at all.
 
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so once a level equals the one below it, every deeper
@@ -34,9 +37,15 @@ _GATHER_BLOCK = 128  # rows gathered at a time; bounds the offset buffer
 
 @dataclass
 class SolveStats:
-    """Machine-independent work counters filled in by the solvers."""
+    """Machine-independent work counters filled in by the solvers.
+
+    ``cell_visits`` counts the table cells a solver filled (for the diagonal
+    solver, the scan positions it stepped over); ``lcsuf_lookups`` counts the
+    lcsuf range minima the diagonal solver took, which no exact test settled.
+    """
 
     cell_visits: int = 0
+    lcsuf_lookups: int = 0
 
 
 def _clamp_budget(f: int, shorter: int) -> int:
@@ -196,7 +205,11 @@ def diagonal_run(
     stats: SolveStats | None = None,
     keep_tables: bool = False,
 ) -> DiagonalRun:
-    """Run the diagonal algorithm; the shorter text drives the diagonals."""
+    """Run the diagonal algorithm; the shorter text drives the diagonals.
+
+    The ``LcsufIndex`` is built at the first lcsuf lookup that the loop's
+    exact tests leave, if any; ``stats.lcsuf_lookups`` counts those lookups.
+    """
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
     if len(t1) > len(t2):
@@ -206,16 +219,14 @@ def diagonal_run(
         return DiagonalRun([None, []], [0, 0], n2 + 1, n1, n2, 1)
     f = _clamp_budget(f, n1)
     inf = n2 + 1
-    index = LcsufIndex(t1, t2)
-    # the index's flat lists, read below without bounds checks
-    rank1, rank2, levels = index.rank1, index.rank2, index.levels
+    index = None  # on texts that differ by a few tail edits, never built
     find = t2.find
     # before[i - 1] is t1[i-1] (1-based) for i >= 2; its first byte is never read
     before = b"\0" + t1
 
     tables: list[list[list[int]] | None] = [None] + [[] for _ in range(f)]
     max_v = [0] * (f + 1)
-    visits = 0
+    visits = lookups = 0
     for h in range(1, f + 1):
         if not keep_tables and h >= 3:
             tables[h - 2] = None  # only levels h-1 and h stay resident
@@ -232,9 +243,8 @@ def diagonal_run(
             column = [0]
             level.append(column)
             j = 1  # the scan pointer never moves back along a diagonal
-            for s, a, b, key in zip(
-                range(1, n1 - diag + 1), t1[diag:], before[diag:], rank1[diag + 1:]
-            ):
+            matched = 0  # the match the previous cell was accepted at, if any
+            for s, a, b in zip(range(1, n1 - diag + 1), t1[diag:], before[diag:]):
                 # L(h, i, s) with i = s + diag is the first j >= the pointer
                 # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
                 # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
@@ -249,9 +259,8 @@ def diagonal_run(
                         cand = j
                     else:
                         cand = find(a, j - 1, stop - 1) + 1  # 0 when none
-                value = stop
                 while cand:
-                    # Two exact tests spare most range minima. First,
+                    # Three exact tests spare most range minima. First,
                     # x + L(h-1, i-x, s-x) never grows with x (dropping the
                     # last common symbol of a level h-1 solution shortens
                     # both prefixes by one), so when x = 1 passes, the full
@@ -259,13 +268,25 @@ def diagonal_run(
                     # lcsuf is 1, which has just failed, when the symbols
                     # before t1[i] and t2[cand] differ: b and t2[cand-1]
                     # (cand = 1 reads t2[-1]; should it equal b, the range
-                    # minimum still gives 1).
+                    # minimum still gives 1). Third, a carried match: when
+                    # the previous cell (i-1, s-1) was accepted at the match
+                    # j-1 with some x', cand = j is its neighbour on the grid
+                    # diagonal, so lcsuf(i, j) >= x' + 1, and x' + 1 passes
+                    # here: it reads the same entry of up as x' did there and
+                    # adds one to a sum that was <= j-1. So cand = j is
+                    # accepted outright (t2[j-2] is t1[i-1] = b, so the
+                    # test sits inside the branch below).
                     if s <= n_up and cand > up[s - 1]:
-                        value = cand
                         break
                     if t2[cand - 2] == b:
+                        if matched and cand == j:
+                            break
                         # range minimum of the LCP array between the ranks
-                        lo, hi = key, rank2[cand]
+                        lookups += 1
+                        if index is None:
+                            index = LcsufIndex(t1, t2)
+                            rank1, rank2, levels = index.rank1, index.rank2, index.levels
+                        lo, hi = rank1[s + diag], rank2[cand]
                         if lo > hi:
                             lo, hi = hi, lo
                         k = (hi - lo).bit_length() - 1
@@ -275,9 +296,10 @@ def diagonal_run(
                             x = y
                         # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
                         if x >= s or (s - x < n_up and cand >= x + up[s - x]):
-                            value = cand
                             break
                     cand = find(a, cand, stop - 1) + 1
+                matched = cand  # the accepted match, or 0 when none passed
+                value = cand or stop
                 column.append(value)
                 # every j from the pointer to the cell's value was visited
                 if value == inf:
@@ -301,6 +323,7 @@ def diagonal_run(
             break
     if stats is not None:
         stats.cell_visits += visits
+        stats.lcsuf_lookups += lookups
     return DiagonalRun(tables, max_v, inf, n1, n2, f)
 
 

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segsub import seglcs as seglcs_module
 from segsub.core import ResourceLimitError, verify_embedding
 from segsub.harness import generate_instance
+from segsub.indseglcs import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import slcs_bruteforce
 from segsub.seglcs import (
@@ -368,6 +370,15 @@ def _scattered_pair(rng: random.Random, n: int, edits: int) -> tuple[bytes, byte
     return t1, bytes(t2)
 
 
+def _near_copy(rng: random.Random, text: bytes, edits: int, alphabet: int) -> bytes:
+    """``text`` with ``edits`` substitutions at random positions, each by a
+    random symbol of the alphabet (possibly the same one)."""
+    copy = bytearray(text)
+    for pos in rng.sample(range(len(text)), edits):
+        copy[pos] = 97 + rng.randrange(alphabet)
+    return bytes(copy)
+
+
 @pytest.mark.parametrize(
     "kind, size", [("uniform", 2), ("uniform", 4), ("uniform", 8),
                    ("scattered", 3), ("scattered", 8)]
@@ -412,6 +423,24 @@ def test_degenerate_budgets_above_oracle_cap(kind, size):
     base = [slcs_baseline(t1, t2, f) for f in range(1, 9)]
     assert base == run.max_v_idx[1:9]
     assert slcs_baseline(t1, t2, saturated) == run.max_v_idx[-1]
+
+
+@pytest.mark.parametrize("family", ["count", "score"])
+def test_independent_budgets_dominate_shared_above_oracle_cap(family):
+    # a shared segmentation into f pieces is one candidate for independent
+    # segmentations into f pieces each, so indseglcs(f, f) >= slcs(f); texts
+    # of 20-40 symbols, uniform pairs and near copies
+    rng = random.Random(f"dominate-{family}")
+    for case in range(12):
+        alphabet = rng.randint(2, 4)
+        t1 = bytes(97 + rng.randrange(alphabet) for _ in range(rng.randint(20, 40)))
+        if case % 2:
+            t2 = _near_copy(rng, t1, rng.randint(1, 4), alphabet)
+        else:
+            t2 = bytes(97 + rng.randrange(alphabet) for _ in range(rng.randint(20, 40)))
+        f = rng.randint(1, 6)
+        shared = slcs_diagonal(t1, t2, f)
+        assert indseglcs(t1, t2, f, f, force_family=family) >= shared, (t1, t2, f)
 
 
 class TestFixedPoint:
@@ -554,6 +583,66 @@ def test_diagonal_runs_match_shortest_prefix_tables():
             full = shortest_prefix_tables(short, long, run.f)
             for h, i, s, value in run.cells():
                 assert value == full[h][i][s], (t1, t2, h, i, s)
+
+
+def test_near_copy_runs_match_shortest_prefix_tables():
+    # near copies put long matches on the grid diagonals, where a match
+    # carried from the previous cell decides most candidates: every stored
+    # cell still equals the definition, and a length-only run agrees
+    rng = random.Random(32)
+    for _ in range(200):
+        alphabet = rng.randint(2, 4)
+        t1 = bytes(97 + rng.randrange(alphabet) for _ in range(rng.randint(1, 12)))
+        t2 = _near_copy(rng, t1, min(len(t1), rng.randint(1, 3)), alphabet)
+        f = rng.randint(1, 5)
+        stats, lean_stats = SolveStats(), SolveStats()
+        run = diagonal_run(t1, t2, f, stats=stats, keep_tables=True)
+        lean = diagonal_run(t1, t2, f, stats=lean_stats)
+        assert lean.max_v_idx == run.max_v_idx, (t1, t2, f)
+        assert lean_stats == stats
+        full = shortest_prefix_tables(t1, t2, run.f)
+        for h, i, s, value in run.cells():
+            assert value == full[h][i][s], (t1, t2, h, i, s)
+
+
+TAIL_EDITS = generate_instance("seglcs", (2000, 2000), alphabet=8, seed=1, similarity=2).texts
+UNIFORM_150 = generate_instance("seglcs", (150, 150), alphabet=4, seed=1).texts
+
+
+@pytest.mark.parametrize("f", [1, 4, 16])
+def test_tail_edits_take_no_lcsuf_lookup(f):
+    stats = SolveStats()
+    assert slcs_diagonal(*TAIL_EDITS, f, stats=stats) == 1998
+    assert stats.lcsuf_lookups == 0
+
+
+def test_uniform_pair_takes_lcsuf_lookups():
+    stats = SolveStats()
+    slcs_diagonal(*UNIFORM_150, 4, stats=stats)
+    assert stats.lcsuf_lookups > 0
+
+
+@pytest.mark.parametrize("f", [1, 4, 16])
+def test_index_not_built_when_exact_tests_settle_every_lookup(monkeypatch, f):
+    def refuse(*args):
+        raise AssertionError("LcsufIndex built although no lookup needed it")
+
+    monkeypatch.setattr(seglcs_module, "LcsufIndex", refuse)
+    assert slcs_diagonal(*TAIL_EDITS, f) == 1998
+
+
+def test_index_built_once_per_call_when_lookups_remain(monkeypatch):
+    builds = []
+
+    def counting(t1, t2):
+        builds.append(1)
+        return LcsufIndex(t1, t2)
+
+    monkeypatch.setattr(seglcs_module, "LcsufIndex", counting)
+    for f in (1, 4, 16):
+        builds.clear()
+        assert slcs_diagonal(*UNIFORM_150, f) == slcs_baseline(*UNIFORM_150, f)
+        assert len(builds) == 1, f
 
 
 # (kind, n, similarity, f) -> (answer, cell_visits); generate_instance with
