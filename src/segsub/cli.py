@@ -1,9 +1,11 @@
 """Command-line front end for the solvers, the reduction, and the harness.
 
-Text arguments are taken as raw bytes; ``@path`` reads a file instead, with
-one trailing newline stripped. Exit codes: decision subcommands mirror the
-answer (0 yes / 1 no), usage errors are 2, brute-force size limits are 3,
-and a solve refused for needing more than physical memory is 4.
+Each subcommand parses its arguments, calls the library and prints the
+result. Text arguments are taken as raw bytes; ``@path`` reads a file
+instead, with one trailing line end (LF or CRLF) stripped. Exit codes:
+decision subcommands mirror the answer (0 yes / 1 no), usage errors are 2,
+brute-force size limits are 3, and a solve refused for needing more than
+physical memory is 4.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ RESOURCE_EXIT = 4
 def _read_text_arg(value: str) -> bytes:
     if value.startswith("@"):
         data = Path(value[1:]).read_bytes()
-        if data.endswith(b"\n"):
-            data = data[:-1]
-        if data.endswith(b"\r"):
-            data = data[:-1]
+        for ending in (b"\r\n", b"\n"):
+            if data.endswith(ending):
+                return data[: -len(ending)]
         return data
     return os.fsencode(value)
 
@@ -56,8 +57,7 @@ def _latin(data: bytes) -> str:
 
 def _cmd_sege(args) -> int:
     answer = segmatch.sege(
-        _read_text_arg(args.text), _read_text_arg(args.pattern),
-        check_budget(args.segments), algo=args.algo,
+        _read_text_arg(args.text), _read_text_arg(args.pattern), args.segments
     )
     if args.json:
         _emit_json({"answer": answer})
@@ -105,12 +105,12 @@ def _cmd_seglcs(args) -> int:
         payload["length"] = run.max_v_idx[run.f]
     else:
         payload["length"] = seglcs.slcs_diagonal(t1, t2, f)
+    if run is not None:
+        payload["tables"] = [
+            [h, i - s, s, value if value < run.infinity else "inf"]
+            for h, i, s, value in run.cells()
+        ]
     if args.json:
-        if run is not None:
-            payload["tables"] = [
-                [h, i - s, s, value if value < run.infinity else "inf"]
-                for h, i, s, value in run.cells()
-            ]
         _emit_json(payload)
         return 0
     _emit(str(payload["length"]))
@@ -118,8 +118,8 @@ def _cmd_seglcs(args) -> int:
         w = payload["witness"]
         for segment, s1, s2 in zip(w["segments"], w["starts1"], w["starts2"]):
             _emit(f"{segment}\t{s1}\t{s2}")
-    if run is not None:
-        sys.stdout.write(seglcs.dump_diagonal_tables(run))
+    for row in payload.get("tables", ()):
+        _emit(" ".join(map(str, row)))
     return 0
 
 
@@ -179,14 +179,14 @@ def _shell_word(data: bytes) -> str:
     return "@<(printf '" + "".join(f"\\{b:03o}" for b in data) + "\\r\\n')"
 
 
-def _replay_command(m: harness.Mismatch, fault: str | None) -> str:
+def _replay_command(m: harness.Mismatch) -> str:
     """The ``segsub`` command that reruns a mismatched case with the
     algorithm that failed it."""
-    a, b = (_shell_word(t) for t in harness.solver_texts(m, fault))
+    a, b = (_shell_word(t) for t in m.texts)
     if m.kind == "minsege":
         args = f"--text {a} --pattern {b}"
     elif m.kind == "sege":
-        args = f"--text {a} --pattern {b} --segments {m.budgets[0]} --algo {m.algorithm}"
+        args = f"--text {a} --pattern {b} --segments {m.budgets[0]}"
     elif m.kind == "seglcs":
         args = f"--t1 {a} --t2 {b} --segments {m.budgets[0]} --algo {m.algorithm}"
     else:
@@ -195,10 +195,8 @@ def _replay_command(m: harness.Mismatch, fault: str | None) -> str:
 
 
 def _cmd_difftest(args) -> int:
-    fault = args.inject_fault
     report = harness.differential_run(
-        args.count, max_len=args.max_len, alphabet=args.alphabet, seed=args.seed,
-        seglcs_solvers=harness.faulty_solvers(fault) if fault else harness.SEGLCS_SOLVERS,
+        args.count, max_len=args.max_len, alphabet=args.alphabet, seed=args.seed
     )
     if args.json:
         _emit_json(
@@ -213,7 +211,7 @@ def _cmd_difftest(args) -> int:
                         "algorithm": m.algorithm,
                         "expected": m.expected,
                         "got": m.got,
-                        "replay": _replay_command(m, fault),
+                        "replay": _replay_command(m),
                     }
                     for m in report.mismatches
                 ],
@@ -226,7 +224,7 @@ def _cmd_difftest(args) -> int:
                 f"MISMATCH {m.kind} algo={m.algorithm} texts={m.texts!r} "
                 f"budgets={m.budgets} expected={m.expected} got={m.got}"
             )
-            _emit(f"REPLAY {_replay_command(m, fault)}")
+            _emit(f"REPLAY {_replay_command(m)}")
     return 0 if report.ok else 1
 
 
@@ -259,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--segments", type=int, required=True)
-    p.add_argument("--algo", choices=("auto", "dp", "kmp2"), default="auto")
     p.set_defaults(func=_cmd_sege)
 
     p = sub.add_parser("minsege", parents=[common], help="minimum segment budget")
@@ -311,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=10)
     p.add_argument("--alphabet", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", choices=harness.FAULTS,
-                   default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_difftest)
 
     return parser

@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-Text = bytes
-
 
 class ResourceLimitError(MemoryError):
     """A solver's buffers would exceed the machine's physical memory."""

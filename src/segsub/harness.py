@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 from . import oracle, segmatch, seglcs
 from .indseglcs import indseglcs
 
 KINDS = ("sege", "seglcs", "indseglcs")
-
-SeglcsSolver = Callable[[bytes, bytes, int], int]
-
-SEGLCS_SOLVERS = {"baseline": seglcs.slcs_baseline, "diagonal": seglcs.slcs_diagonal}
-
-# each fault corrupts the texts that the diagonal seglcs solver is given
-FAULTS = {"text-off-by-one": lambda t1, t2: (t1[:-1], t2)}
 
 
 @dataclass(frozen=True)
@@ -104,42 +96,19 @@ class DifferentialReport:
         )
 
 
-def faulty_solvers(fault: str) -> dict[str, SeglcsSolver]:
-    """The seglcs solvers with the diagonal one run on the texts as a known
-    fault corrupts them, for validating that ``differential_run`` reports
-    mismatches."""
-    if fault not in FAULTS:
-        raise ValueError(f"unknown fault mode {fault!r}")
-    corrupt = FAULTS[fault]
-
-    def diagonal(t1: bytes, t2: bytes, f: int) -> int:
-        return seglcs.slcs_diagonal(*corrupt(t1, t2), f)
-
-    return {**SEGLCS_SOLVERS, "diagonal": diagonal}
-
-
-def solver_texts(m: Mismatch, fault: str | None) -> tuple[bytes, bytes]:
-    """The texts that the mismatched algorithm ran on: the case's own, or
-    under an injected fault, the corrupted ones the diagonal solver saw."""
-    if fault is not None and m.kind == "seglcs" and m.algorithm == "diagonal":
-        return FAULTS[fault](*m.texts)
-    return m.texts
-
-
 def differential_run(
     count: int,
     max_len: int = 10,
     alphabet: int = 3,
     seed: int = 0,
-    seglcs_solvers: Mapping[str, SeglcsSolver] = SEGLCS_SOLVERS,
 ) -> DifferentialReport:
     """Compare every solver against its brute-force oracle on random inputs.
 
     Each case checks the matching family; the heavier common-subsequence
     families alternate between cases. Every other seglcs case is a near copy
     (equal lengths, up to two tail edits), the regime in which the diagonal
-    solver's exact tests settle most lcsuf lookups. ``seglcs_solvers`` maps a
-    name to each solver checked on the seglcs cases.
+    solver's exact tests settle most lcsuf lookups. Both seglcs solvers are
+    looked up on their module at each case, so a test can swap one out.
     """
     rng = random.Random(seed)
     report = DifferentialReport(cases=count)
@@ -165,11 +134,7 @@ def differential_run(
         )
         for f in (1, 2, rng.randint(1, max_len + 2)):
             expected = truth is not None and truth <= f
-            record("sege", pair, (f,), "dp", expected, segmatch.sege(t, p, f, "dp"))
-            if f <= 2:
-                record(
-                    "sege", pair, (f,), "kmp2", expected, segmatch.sege(t, p, f, "kmp2")
-                )
+            record("sege", pair, (f,), "sege", expected, segmatch.sege(t, p, f))
 
         if case % 2 == 0:
             n1 = rng.randint(0, max_len)
@@ -184,7 +149,8 @@ def differential_run(
             t1, t2 = inst.texts
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
             expected = oracle.slcs_bruteforce(t1, t2, f)
-            for name, solver in seglcs_solvers.items():
+            for name, solver in (("baseline", seglcs.slcs_baseline),
+                                 ("diagonal", seglcs.slcs_diagonal)):
                 record("seglcs", inst.texts, (f,), name, expected, solver(t1, t2, f))
         else:
             inst = generate_instance(

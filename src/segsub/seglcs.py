@@ -336,12 +336,3 @@ def slcs_diagonal(
     """Segmental LCS length via the sparse diagonal tables."""
     run = diagonal_run(t1, t2, f, stats=stats)
     return run.max_v_idx[run.f]
-
-
-def dump_diagonal_tables(run: DiagonalRun) -> str:
-    """Sparse-table dump, one ``h diag s value`` line per stored cell."""
-    lines = []
-    for h, i, s, value in run.cells():
-        shown = "inf" if value >= run.infinity else str(value)
-        lines.append(f"{h} {i - s} {s} {shown}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -3,7 +3,9 @@
 ``min_segments`` runs a block-deletion dynamic program over two cost tables
 D and E, where D tracks states that just deleted a text symbol. The f <= 2
 decision runs in linear time from two automaton passes, keeping only the
-breakpoints of the running-maximum prefix array between them.
+breakpoints of the running-maximum prefix array between them. ``sege``
+picks its path from the budget alone: substring search at f = 1, the linear
+decider at f = 2, the dynamic program otherwise.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import as_text, check_budget
-
-ALGORITHMS = ("auto", "dp", "kmp2")
 
 
 def _cost_rows(t: bytes, p: bytes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -50,27 +50,6 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     t, p = as_text(t), as_text(p)
     best = min(int(e[-1]) for _, e in _cost_rows(t, p))
     return best + 1 if best < len(t) + len(p) + 1 else None
-
-
-def min_segments_tables(
-    t: bytes | str, p: bytes | str
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Full D and E cost tables (debug mode; the solver keeps two rows)."""
-    rows = list(_cost_rows(as_text(t), as_text(p)))
-    return [d.tolist() for d, _ in rows], [e.tolist() for _, e in rows]
-
-
-def format_cost_tables(D: list[list[int]], E: list[list[int]]) -> str:
-    """Tab-separated dump of the D and E tables with ``inf`` sentinels."""
-    n, m = len(D) - 1, len(D[0]) - 1
-    inf = n + m + 1
-
-    def rows(table: list[list[int]]) -> str:
-        return "\n".join(
-            "\t".join("inf" if v >= inf else str(v) for v in row) for row in table
-        )
-
-    return f"D\n{rows(D)}\nE\n{rows(E)}\n"
 
 
 class KmpAutomaton:
@@ -138,17 +117,13 @@ def seg2_linear(t: bytes | str, p: bytes | str) -> bool:
     return False
 
 
-def sege(t: bytes | str, p: bytes | str, f: int, algo: str = "auto") -> bool:
+def sege(t: bytes | str, p: bytes | str, f: int) -> bool:
     """Decide whether ``p`` embeds into ``t`` with at most ``f`` segments."""
     check_budget(f)
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
     t, p = as_text(t), as_text(p)
-    if algo == "kmp2" and f > 2:
-        raise ValueError("the linear-time path only decides budgets f <= 2")
-    if algo == "kmp2" or (algo == "auto" and f <= 2):
-        if f == 1:
-            return p in t
+    if f == 1:
+        return p in t
+    if f == 2:
         return seg2_linear(t, p)
     needed = min_segments(t, p)
     return needed is not None and needed <= f

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import segsub
+from segsub import seglcs
 from segsub.cli import _replay_command, main
 from segsub.harness import Mismatch
 
@@ -57,12 +58,6 @@ def test_sege_yes(capsys):
     assert code == 0 and out == "yes\n"
 
 
-def test_sege_algo_flag(capsys):
-    code, out, _ = run(capsys, "sege", "--text", "aba", "--pattern", "aa",
-                       "--segments", "2", "--algo", "kmp2")
-    assert code == 0 and out == "yes\n"
-
-
 def test_json_output(capsys):
     code, out, _ = run(capsys, "indseglcs", "--t1", "abcxdexf", "--t2", "abycdef",
                        "--f1", "3", "--f2", "2", "--json")
@@ -104,7 +99,10 @@ def test_dump_tables(capsys):
                        "--segments", "3", "--dump-tables")
     lines = out.splitlines()
     assert code == 0 and lines[0] == "5"
-    assert "1 0 1 8" in lines and "1 0 2 inf" in lines and "3 2 5 8" in lines
+    assert lines[1] == "1 0 1 8"
+    assert lines[2] == "1 0 2 inf"
+    assert "3 2 5 8" in lines
+    assert all(len(line.split()) == 4 for line in lines[1:])
 
 
 def test_dump_tables_requires_diagonal(capsys):
@@ -151,6 +149,18 @@ def test_file_input(tmp_path, capsys):
     assert code == 0 and out == "5\n"
 
 
+@pytest.mark.parametrize("content, length", [
+    (b"ab\r", 3), (b"ab\n", 2), (b"ab\r\n", 2), (b"ab\n\n", 3), (b"ab\r\n\r\n", 4),
+], ids=["cr", "lf", "crlf", "lf-lf", "crlf-crlf"])
+def test_file_input_strips_one_line_end(tmp_path, capsys, content, length):
+    # a lone trailing \r is data; one \n or \r\n is the file's line end
+    path = tmp_path / "text.bin"
+    path.write_bytes(content)
+    code, out, _ = run(capsys, "seglcs", "--t1", f"@{path}",
+                       "--t2", content.decode("latin-1"), "--segments", "1")
+    assert code == 0 and out == f"{length}\n"
+
+
 def test_gen_deterministic(capsys):
     code, first, _ = run(capsys, "gen", "--kind", "seglcs", "--lengths", "6,6",
                          "--seed", "11")
@@ -166,16 +176,23 @@ def test_difftest_clean(capsys):
     assert "mismatches=0" in out
 
 
-def test_difftest_fault_exit(capsys):
-    code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2",
-                       "--inject-fault", "text-off-by-one")
+@pytest.fixture
+def text_off_by_one(monkeypatch):
+    """Make the diagonal seglcs solver drop the last symbol of ``t1``."""
+    solve = seglcs.slcs_diagonal
+    monkeypatch.setattr(
+        seglcs, "slcs_diagonal", lambda t1, t2, f: solve(t1[:-1], t2, f)
+    )
+
+
+def test_difftest_fault_exit(capsys, text_off_by_one):
+    code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2")
     assert code == 1
     assert "MISMATCH" in out
 
 
-def test_difftest_replay_reproduces_fault(capsys):
-    code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2",
-                       "--inject-fault", "text-off-by-one")
+def test_difftest_replay_reproduces_fault(capsys, text_off_by_one):
+    code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2")
     lines = out.splitlines()[1:]
     assert code == 1 and len(lines) == 12
     for mismatch, replay in zip(lines[::2], lines[1::2]):
@@ -188,8 +205,8 @@ def test_difftest_replay_reproduces_fault(capsys):
 
 @pytest.mark.parametrize("kind, budgets, algorithm, argv", [
     ("minsege", (), "min_segments", ["minsege", "--text", "abc", "--pattern", "ac"]),
-    ("sege", (2,), "kmp2",
-     ["sege", "--text", "abc", "--pattern", "ac", "--segments", "2", "--algo", "kmp2"]),
+    ("sege", (2,), "sege",
+     ["sege", "--text", "abc", "--pattern", "ac", "--segments", "2"]),
     ("seglcs", (3,), "baseline",
      ["seglcs", "--t1", "abc", "--t2", "ac", "--segments", "3", "--algo", "baseline"]),
     ("indseglcs", (1, 2), "tables",
@@ -197,7 +214,7 @@ def test_difftest_replay_reproduces_fault(capsys):
 ])
 def test_replay_command_per_kind(kind, budgets, algorithm, argv):
     m = Mismatch(kind, (b"abc", b"ac"), budgets, algorithm, 0, 1)
-    assert shlex.split(_replay_command(m, None)) == ["segsub", *argv]
+    assert shlex.split(_replay_command(m)) == ["segsub", *argv]
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
@@ -205,7 +222,7 @@ def test_replay_texts_survive_the_shell():
     # a NUL byte, a leading "@" and trailing line ends cannot pass as they are
     text = b"@" + bytes(range(256)) + b"\r\n"
     m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
-    command = _replay_command(m, None).replace(
+    command = _replay_command(m).replace(
         "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
     )
     env = {**os.environ, "PYTHONPATH": str(Path(segsub.__file__).parents[1])}

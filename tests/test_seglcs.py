@@ -17,7 +17,6 @@ from segsub.seglcs import (
     DiagonalRun,
     SolveStats,
     diagonal_run,
-    dump_diagonal_tables,
     slcs_baseline,
     slcs_diagonal,
     slcs_witness,
@@ -293,6 +292,16 @@ class TestDiagonalInvariants:
                         assert full[h][i][s] == min(left, j_best), (h, i, s)
 
 
+def assert_witness(t1, t2, f, expected):
+    """The witness has the expected length, at most f segments, and embeds
+    into both texts."""
+    length, seg, e1, e2 = slcs_witness(t1, t2, f)
+    assert length == len(seg.pattern) == expected
+    assert seg.segment_count <= f
+    assert verify_embedding(t1, e1)
+    assert verify_embedding(t2, e2)
+
+
 class TestWitness:
     def test_appendix_witness(self):
         length, seg, e1, e2 = slcs_witness(b"abcxdexf", b"abycdef", 2)
@@ -402,6 +411,7 @@ def test_above_oracle_cap(kind, size):
         assert run.max_v_idx[1:] == [slcs_baseline(t1, t2, h) for h in range(1, f + 1)]
         assert diagonal_run(t2, t1, f).max_v_idx == run.max_v_idx
         assert diagonal_run(t1[::-1], t2[::-1], f).max_v_idx == run.max_v_idx
+        assert_witness(t1, t2, f, run.max_v_idx[f])
 
 
 @pytest.mark.parametrize("kind, size", [("uniform", 2), ("uniform", 4), ("scattered", 3)])
@@ -423,6 +433,8 @@ def test_degenerate_budgets_above_oracle_cap(kind, size):
     base = [slcs_baseline(t1, t2, f) for f in range(1, 9)]
     assert base == run.max_v_idx[1:9]
     assert slcs_baseline(t1, t2, saturated) == run.max_v_idx[-1]
+    # the deeper layers alias the fixed-point level, and the traceback walks them
+    assert_witness(t1, t2, saturated, classic_lcs_len(t1, t2))
 
 
 @pytest.mark.parametrize("family", ["count", "score"])
@@ -667,12 +679,3 @@ def test_pinned_visit_counts(case):
     answer = slcs_diagonal(t1, t2, f, stats=stats)
     assert (answer, stats.cell_visits) == PINNED_VISITS[case]
 
-
-def test_dump_format():
-    run = diagonal_run(T1, T2, 3, keep_tables=True)
-    lines = dump_diagonal_tables(run).splitlines()
-    assert lines[0] == "1 0 1 8"
-    assert lines[1] == "1 0 2 inf"
-    assert "3 2 5 8" in lines
-    parsed = [line.split() for line in lines]
-    assert all(len(p) == 4 for p in parsed)

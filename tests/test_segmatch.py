@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from segsub.oracle import min_segments_bruteforce
 from segsub.segmatch import (
     KmpAutomaton,
-    format_cost_tables,
+    _cost_rows,
     llpf_breakpoints,
     min_segments,
-    min_segments_tables,
     seg2_linear,
     sege,
 )
@@ -27,6 +26,17 @@ LLPF1 = [0, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5]
 
 texts = st.binary(max_size=14).map(lambda b: bytes(97 + c % 3 for c in b))
 patterns = st.binary(max_size=8).map(lambda b: bytes(97 + c % 3 for c in b))
+
+
+def dp_decides(t, p, f):
+    """The budget-f decision read off the quadratic DP."""
+    needed = min_segments(t, p)
+    return needed is not None and needed <= f
+
+
+def cost_tables(t, p):
+    rows = list(_cost_rows(t, p))
+    return [d.tolist() for d, _ in rows], [e.tolist() for _, e in rows]
 
 
 class TestBorderArrays:
@@ -123,26 +133,18 @@ class TestMinSegments:
 
 class TestTablesDump:
     def test_boundaries(self):
-        D, E = min_segments_tables(b"aba", b"aa")
+        D, E = cost_tables(b"aba", b"aa")
         inf = 3 + 2 + 1
         assert [row[0] for row in D] == [0, 0, 0, 0]
         assert D[0][1:] == [inf, inf]
         assert min(E[i][2] for i in range(4)) == 1  # d = 1, so two segments
 
-        # the debug tables come from the solver's rows: same minimum
+        # the rows that min_segments folds hold its minimum
         rng = random.Random(9)
         t = bytes(97 + rng.randrange(3) for _ in range(14))
         p = bytes(c for c in t if rng.random() < 0.6)  # a subsequence of t
-        D, E = min_segments_tables(t, p)
+        D, E = cost_tables(t, p)
         assert min(row[len(p)] for row in E) + 1 == min_segments(t, p)
-
-    def test_format(self):
-        D, E = min_segments_tables(b"ab", b"b")
-        dump = format_cost_tables(D, E)
-        lines = dump.splitlines()
-        assert lines[0] == "D"
-        assert "inf" in dump
-        assert lines[1].split("\t") == ["0", "inf"]
 
 
 class TestSeg2Linear:
@@ -169,12 +171,12 @@ class TestSeg2Linear:
         rng = random.Random(7)
         for _ in range(600):
             t, p = random_text(rng, 13), random_text(rng, 7)
-            assert seg2_linear(t, p) == sege(t, p, 2, algo="dp")
+            assert seg2_linear(t, p) == dp_decides(t, p, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(t=texts, p=patterns)
     def test_agrees_with_dp_hypothesis(self, t, p):
-        assert seg2_linear(t, p) == sege(t, p, 2, algo="dp")
+        assert seg2_linear(t, p) == dp_decides(t, p, 2)
 
 
 class TestSege:
@@ -187,18 +189,7 @@ class TestSege:
         for _ in range(200):
             t, p = random_text(rng, 10), random_text(rng, 6)
             for f in (1, 2, 3):
-                expected = sege(t, p, f, algo="dp")
-                assert sege(t, p, f, algo="auto") == expected
-                if f <= 2:
-                    assert sege(t, p, f, algo="kmp2") == expected
-
-    def test_kmp2_rejects_large_budget(self):
-        with pytest.raises(ValueError):
-            sege(b"ab", b"a", 3, algo="kmp2")
-
-    def test_unknown_algo(self):
-        with pytest.raises(ValueError):
-            sege(b"ab", b"a", 1, algo="magic")
+                assert sege(t, p, f) == dp_decides(t, p, f)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
