@@ -679,3 +679,12 @@ def test_pinned_visit_counts(case):
     answer = slcs_diagonal(t1, t2, f, stats=stats)
     assert (answer, stats.cell_visits) == PINNED_VISITS[case]
 
+
+def test_dump_format():
+    run = diagonal_run(T1, T2, 3, keep_tables=True)
+    cells = [(h, i - s, s, value if value < run.infinity else "inf")
+             for h, i, s, value in run.cells()]
+    assert cells[0] == (1, 0, 1, 8)
+    assert cells[1] == (1, 0, 2, "inf")
+    assert (3, 2, 5, 8) in cells
+    assert all(len(c) == 4 for c in cells)
