@@ -110,6 +110,9 @@ def differential_run(
     solver's exact tests settle most lcsuf lookups. Both seglcs solvers are
     looked up on their module at each case, so a test can swap one out.
     """
+    for name, value in (("count", count), ("max_len", max_len)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     rng = random.Random(seed)
     report = DifferentialReport(cases=count)
 

@@ -184,8 +184,6 @@ class DiagonalRun:
     tables: list[list[list[int]] | None]
     max_v_idx: list[int]
     infinity: int
-    n1: int
-    n2: int
     f: int
 
     def cells(self):
@@ -216,7 +214,7 @@ def diagonal_run(
         t1, t2 = t2, t1
     n1, n2 = len(t1), len(t2)
     if n1 == 0:
-        return DiagonalRun([None, []], [0, 0], n2 + 1, n1, n2, 1)
+        return DiagonalRun([None, []], [0, 0], n2 + 1, 1)
     f = _clamp_budget(f, n1)
     inf = n2 + 1
     index = None  # on texts that differ by a few tail edits, never built
@@ -324,7 +322,7 @@ def diagonal_run(
     if stats is not None:
         stats.cell_visits += visits
         stats.lcsuf_lookups += lookups
-    return DiagonalRun(tables, max_v, inf, n1, n2, f)
+    return DiagonalRun(tables, max_v, inf, f)
 
 
 def slcs_diagonal(

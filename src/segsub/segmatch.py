@@ -2,15 +2,17 @@
 
 ``min_segments`` runs a block-deletion dynamic program over two cost tables
 D and E, where D tracks states that just deleted a text symbol. The f <= 2
-decision runs in linear time from two automaton passes, keeping only the
-breakpoints of the running-maximum prefix array between them. ``sege``
-picks its path from the budget alone: substring search at f = 1, the linear
-decider at f = 2, the dynamic program otherwise.
+decision runs in linear time from a Knuth-Morris-Pratt prefix-function pass
+that keeps only the first end of each pattern prefix, run forward and over
+the reversed strings. ``sege`` picks its path from the budget alone:
+substring search at f = 1, the linear decider at f = 2, the dynamic program
+otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -52,69 +54,42 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     return best + 1 if best < len(t) + len(p) + 1 else None
 
 
-class KmpAutomaton:
-    """Failure-function automaton reporting, per fed symbol, the length of the
-    longest pattern prefix ending there (restart-on-full-match semantics)."""
-
-    def __init__(self, pattern: bytes | str):
-        self.pattern = as_text(pattern)
-        # fail[q + 1] is the state reached on p[1..q]; the scan reads only
-        # entries it has already appended
-        self.fail = [0, 0]
-        self.fail.extend(self.states(self.pattern[1:]))
-
-    def states(self, text: Iterable[int]) -> Iterator[int]:
-        """Yield the automaton state after each symbol of ``text``."""
-        pattern, fail = self.pattern, self.fail
-        m = len(pattern)
-        if m == 0:
-            for _ in text:
-                yield 0
-            return
-        state = 0
-        for c in text:
-            if state == m:
-                state = fail[m]
-            while state and pattern[state] != c:
-                state = fail[state]
-            if pattern[state] == c:
-                state += 1
-            yield state
-
-
-def llpf_breakpoints(lpf: Iterable[int]) -> list[tuple[int, int]]:
-    """(position, value) pairs where the running maximum of lpf strictly
-    increases; at most |p|+1 entries since values range over 0..|p|."""
-    breakpoints = []
-    top = 0
-    for idx, value in enumerate(lpf, start=1):
-        if value > top:
-            top = value
-            breakpoints.append((idx, value))
-    return breakpoints
+def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
+    """first[k]: the least 1-based end in ``t`` of an occurrence of p[:k], or
+    len(t) + 1 if none, for k = 0..len(p). One Knuth-Morris-Pratt prefix-
+    function pass over p, a separator and t, storing the function for p only;
+    the state grows by at most one per symbol, so first[k] is where it first
+    passes its running top."""
+    m = len(p)
+    first = [0] + [len(t) + 1] * m
+    s = [*p, -1]  # p, then a separator that matches no byte: full matches fall back
+    pi = [0] * m
+    q = top = 0
+    for i, c in enumerate(chain(s[1:], t), start=1):
+        while q and s[q] != c:
+            q = pi[q - 1]
+        if s[q] == c:
+            q += 1
+        if i < m:
+            pi[i] = q
+        elif q > top:
+            top = q
+            first[q] = i - m
+    return first
 
 
 def seg2_linear(t: bytes | str, p: bytes | str) -> bool:
-    """Decide membership with at most two segments in O(n+m) time, O(m) space.
-
-    Pass 1 streams the prefix automaton and stores only llpf breakpoints;
-    pass 2 streams suffix lengths right to left and stops at the first
-    position where llpf[i-1] + lsf[i] covers the whole pattern.
-    """
+    """Decide membership with at most two segments in O(n + m) time and O(m)
+    extra space: accept when some split p = u.v has the first occurrence of u
+    ending before the last occurrence of v starts. Unless p occurs whole, a
+    second pass over reversed views reads all of t, with no early exit."""
     t, p = as_text(t), as_text(p)
     n, m = len(t), len(p)
-    breakpoints = llpf_breakpoints(KmpAutomaton(p).states(t))
-    if (breakpoints[-1][1] if breakpoints else 0) >= m:
+    head = _first_ends(p, t)
+    if head[m] <= n:
         return True  # the pattern occurs as a factor
-    k = len(breakpoints) - 1
-    suffixes = KmpAutomaton(p[::-1]).states(reversed(t))
-    for i, suffix in zip(range(n, 1, -1), suffixes):
-        while k >= 0 and breakpoints[k][0] > i - 1:
-            k -= 1
-        prefix = breakpoints[k][1] if k >= 0 else 0
-        if prefix + suffix >= m:
-            return True
-    return False
+    tail = _first_ends(p[::-1], memoryview(t)[::-1])
+    return any(head[k] + tail[m - k] <= n for k in range(m + 1))
 
 
 def sege(t: bytes | str, p: bytes | str, f: int) -> bool:

@@ -7,7 +7,6 @@ import random
 from segsub.core import as_text
 from segsub.harness import generate_instance
 from segsub.lce import lcsuf_matrix
-from segsub.segmatch import KmpAutomaton
 from segsub.seglcs import SolveStats, _chain_layers, slcs_baseline, slcs_diagonal
 
 
@@ -65,26 +64,48 @@ def seglcs_visit_counts(
 def compute_lpf(t: bytes | str, p: bytes | str) -> list[int]:
     """lpf[i]: length of the longest prefix of ``p`` ending at text position i
     (returned 0-based, value for position i at index i-1)."""
-    return list(KmpAutomaton(p).states(as_text(t)))
+    t, p = as_text(t), as_text(p)
+    return [
+        max(l for l in range(min(i, len(p)) + 1) if p[:l] == t[i - l : i])
+        for i in range(1, len(t) + 1)
+    ]
 
 
 def compute_lsf(t: bytes | str, p: bytes | str) -> list[int]:
-    """lsf[i]: length of the longest suffix of ``p`` starting at position i,
-    streamed right to left through the automaton of the reversed pattern."""
-    return list(KmpAutomaton(as_text(p)[::-1]).states(reversed(as_text(t))))[::-1]
+    """lsf[i]: length of the longest suffix of ``p`` starting at text position
+    i (returned 0-based, value for position i at index i-1)."""
+    t, p = as_text(t), as_text(p)
+    n, m = len(t), len(p)
+    return [
+        max(
+            l
+            for l in range(min(n - i + 1, m) + 1)
+            if p[m - l :] == t[i - 1 : i - 1 + l]
+        )
+        for i in range(1, n + 1)
+    ]
 
 
-def llpf_from_breakpoints(breakpoints: list[tuple[int, int]], n: int) -> list[int]:
-    """Reconstruct the full llpf array from its breakpoints."""
-    out = [0] * n
-    value = 0
-    k = 0
-    for i in range(1, n + 1):
-        if k < len(breakpoints) and breakpoints[k][0] == i:
-            value = breakpoints[k][1]
-            k += 1
-        out[i - 1] = value
-    return out
+def first_ends_by_find(t: bytes, p: bytes) -> list[int]:
+    """first[k]: the end of the leftmost occurrence of p[:k] in t, 1-based,
+    or len(t) + 1 if there is none, for k = 0..len(p)."""
+    starts = [t.find(p[:k]) for k in range(len(p) + 1)]
+    return [j + k if j >= 0 else len(t) + 1 for k, j in enumerate(starts)]
+
+
+def first_reach(values: list[int], m: int) -> list[int]:
+    """first[k]: the least 1-based i with values[i-1] >= k, or len(values) + 1,
+    for k = 0..m; the first ends of p's prefixes when values is lpf."""
+    return [0] + [
+        next((i for i, v in enumerate(values, start=1) if v >= k), len(values) + 1)
+        for k in range(1, m + 1)
+    ]
+
+
+def llpf_from_first_ends(first: list[int], n: int) -> list[int]:
+    """The running maximum of lpf rebuilt from its first ends: llpf[i] is the
+    largest k with first[k] <= i (returned 0-based)."""
+    return [max(k for k, end in enumerate(first) if end <= i) for i in range(1, n + 1)]
 
 
 def greedy_subsequence(t: bytes, p: bytes) -> bool:

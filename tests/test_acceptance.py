@@ -14,14 +14,15 @@ from segsub.indseglcs import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import min_segments_bruteforce
 from segsub.reduction import build_episode_reduction, check_reduction_equivalence
-from segsub.segmatch import llpf_breakpoints, min_segments, seg2_linear, sege
+from segsub.segmatch import _first_ends, min_segments, seg2_linear, sege
 from segsub.seglcs import diagonal_run, slcs_baseline, slcs_diagonal
 
 from helpers import (
     classic_lcs_len,
     compute_lpf,
     compute_lsf,
-    llpf_from_breakpoints,
+    first_reach,
+    llpf_from_first_ends,
     random_text,
     seglcs_visit_counts,
     shortest_prefix_tables,
@@ -45,14 +46,20 @@ def test_criterion_1_golden_table_1():
         started = time.perf_counter()
         t = b"baacababbabcaacaabcba"
         p = b"abbabaca"
-        lpf = compute_lpf(t, p)
-        assert lpf == [0, 1, 1, 0, 1, 2, 1, 2, 3, 4, 5, 0, 1, 1, 0, 1, 1, 2, 0, 0, 1]
-        assert compute_lsf(t, p) == [
-            0, 1, 3, 2, 1, 0, 1, 0, 0, 1, 0, 2, 1, 3, 2, 1, 1, 0, 0, 0, 1,
-        ]
-        assert llpf_from_breakpoints(llpf_breakpoints(lpf), len(t)) == [
-            0, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
-        ]
+        lpf = [0, 1, 1, 0, 1, 2, 1, 2, 3, 4, 5, 0, 1, 1, 0, 1, 1, 2, 0, 0, 1]
+        lsf = [0, 1, 3, 2, 1, 0, 1, 0, 0, 1, 0, 2, 1, 3, 2, 1, 1, 0, 0, 0, 1]
+        llpf = [0, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5]
+        assert compute_lpf(t, p) == lpf
+        assert compute_lsf(t, p) == lsf
+        # the library's first ends are the first-reach positions of the
+        # golden LLPF and of the golden LSF read right to left
+        head = _first_ends(p, t)
+        assert head == [0, 2, 6, 9, 10, 11, 22, 22, 22]
+        assert head == first_reach(llpf, len(p))
+        assert llpf_from_first_ends(head, len(t)) == llpf
+        tail = _first_ends(p[::-1], memoryview(t)[::-1])
+        assert tail == [0, 1, 7, 8, 22, 22, 22, 22, 22]
+        assert tail == first_reach(lsf[::-1], len(p))
         assert seg2_linear(t, p) is True
         assert min_segments(t, p) == 2
         assert time.perf_counter() - started < 1.0
@@ -187,9 +194,7 @@ def test_criterion_7_invariant_suite():
         # running-maximum prefix array is monotone
         for _ in range(200):
             t, p = random_text(rng, 20), random_text(rng, 6)
-            rebuilt = llpf_from_breakpoints(
-                llpf_breakpoints(compute_lpf(t, p)), len(t)
-            )
+            rebuilt = llpf_from_first_ends(_first_ends(p, t), len(t))
             assert all(a <= b for a, b in zip(rebuilt, rebuilt[1:]))
 
         # the suffix-array index agrees with the dense lcsuf table, two

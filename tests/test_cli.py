@@ -176,6 +176,13 @@ def test_difftest_clean(capsys):
     assert "mismatches=0" in out
 
 
+@pytest.mark.parametrize("flag,name", [("--count", "count"), ("--max-len", "max_len")])
+def test_difftest_rejects_negative_sizes(capsys, flag, name):
+    code, out, err = run(capsys, "difftest", flag, "-1")
+    assert code == 2 and out == ""
+    assert err == f"segsub: {name} must be non-negative, got -1\n"
+
+
 @pytest.fixture
 def text_off_by_one(monkeypatch):
     """Make the diagonal seglcs solver drop the last symbol of ``t1``."""

@@ -1,4 +1,4 @@
-"""Tests for the matching dynamic program and the two-pass linear decision."""
+"""Tests for the matching dynamic program and the linear f <= 2 decision."""
 
 import random
 
@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsub.oracle import min_segments_bruteforce
-from segsub.segmatch import (
-    KmpAutomaton,
-    _cost_rows,
-    llpf_breakpoints,
-    min_segments,
-    seg2_linear,
-    sege,
-)
+from segsub.segmatch import _cost_rows, _first_ends, min_segments, seg2_linear, sege
 
-from helpers import compute_lpf, compute_lsf, llpf_from_breakpoints, random_text
+from helpers import (
+    compute_lpf,
+    compute_lsf,
+    first_ends_by_find,
+    first_reach,
+    llpf_from_first_ends,
+    random_text,
+)
 
 T1 = b"baacababbabcaacaabcba"
 P1 = b"abbabaca"
@@ -34,6 +34,18 @@ def dp_decides(t, p, f):
     return needed is not None and needed <= f
 
 
+def cut_pattern(rng, t, m, pieces):
+    """A length-m pattern made of ``pieces`` factors of t, taken left to right
+    with at least one text symbol between consecutive factors."""
+    cuts = sorted(rng.sample(range(1, m), pieces - 1))
+    offsets = sorted(rng.randint(0, len(t) - m - pieces + 1) for _ in range(pieces))
+    out = []
+    for idx, (a, b) in enumerate(zip([0, *cuts], [*cuts, m])):
+        start = offsets[idx] + a + idx
+        out.append(t[start : start + b - a])
+    return b"".join(out)
+
+
 def cost_tables(t, p):
     rows = list(_cost_rows(t, p))
     return [d.tolist() for d, _ in rows], [e.tolist() for _, e in rows]
@@ -47,9 +59,13 @@ class TestBorderArrays:
         assert compute_lsf(T1, P1) == LSF1
 
     def test_llpf_golden(self):
-        bps = llpf_breakpoints(LPF1)
-        assert llpf_from_breakpoints(bps, len(T1)) == LLPF1
-        assert bps == [(2, 1), (6, 2), (9, 3), (10, 4), (11, 5)]
+        head = _first_ends(P1, T1)
+        assert head == [0, 2, 6, 9, 10, 11, 22, 22, 22]
+        assert head == first_reach(LLPF1, len(P1))
+        assert llpf_from_first_ends(head, len(T1)) == LLPF1
+        tail = _first_ends(P1[::-1], memoryview(T1)[::-1])
+        assert tail == [0, 1, 7, 8, 22, 22, 22, 22, 22]
+        assert tail == first_reach(LSF1[::-1], len(P1))
 
     def test_empty_pattern(self):
         assert compute_lpf(b"abc", b"") == [0, 0, 0]
@@ -64,44 +80,32 @@ class TestBorderArrays:
         rng = random.Random(4)
         for _ in range(150):
             t, p = random_text(rng, 12), random_text(rng, 5)
-            lpf = compute_lpf(t, p)
-            lsf = compute_lsf(t, p)
-            for i in range(1, len(t) + 1):
-                want = max(
-                    (l for l in range(min(i, len(p)) + 1) if p[:l] == t[i - l : i]),
-                    default=0,
-                )
-                assert lpf[i - 1] == want
-                want = max(
-                    (
-                        l
-                        for l in range(min(len(t) - i + 1, len(p)) + 1)
-                        if l == 0 or p[len(p) - l :] == t[i - 1 : i - 1 + l]
-                    ),
-                    default=0,
-                )
-                assert lsf[i - 1] == want
+            lpf, lsf = compute_lpf(t, p), compute_lsf(t, p)
+            assert _first_ends(p, t) == first_reach(lpf, len(p))
+            tail = _first_ends(p[::-1], memoryview(t)[::-1])
+            assert tail == first_reach(lsf[::-1], len(p))
 
     def test_breakpoints_bounded_and_monotone(self):
         rng = random.Random(5)
         for _ in range(200):
             t, p = random_text(rng, 14), random_text(rng, 6)
             lpf = compute_lpf(t, p)
-            bps = llpf_breakpoints(lpf)
-            assert len(bps) <= len(p) + 1
-            values = [v for _, v in bps]
-            assert values == sorted(values)
-            rebuilt = llpf_from_breakpoints(bps, len(t))
+            first = _first_ends(p, t)
+            assert len(first) == len(p) + 1
+            n = len(t)
+            assert all(k <= end <= n or end == n + 1 for k, end in enumerate(first))
+            assert first == sorted(first)
+            rebuilt = llpf_from_first_ends(first, len(t))
             assert rebuilt == [max(lpf[: i + 1], default=0) for i in range(len(t))]
             assert all(a <= b for a, b in zip(rebuilt, rebuilt[1:]))
 
 
-class TestKmpAutomaton:
+class TestFirstEnds:
     def test_restart_after_full_match(self):
-        assert list(KmpAutomaton(b"aa").states(b"aaaa")) == [1, 2, 2, 2]
+        assert _first_ends(b"aa", b"aaaa") == [0, 1, 2]
 
     def test_empty_pattern_stays_at_zero(self):
-        assert list(KmpAutomaton(b"").states(b"a")) == [0]
+        assert _first_ends(b"", b"a") == [0]
 
 
 class TestMinSegments:
@@ -177,6 +181,30 @@ class TestSeg2Linear:
     @given(t=texts, p=patterns)
     def test_agrees_with_dp_hypothesis(self, t, p):
         assert seg2_linear(t, p) == dp_decides(t, p, 2)
+
+    def test_agrees_with_dp_above_oracle_cap(self):
+        rng = random.Random(11)
+        seen = set()
+        for case in range(200):
+            n, m = rng.randint(100, 400), rng.randint(5, 60)
+            alphabet = rng.randint(1, 4)
+            if case % 3 == 0:  # periodic: long fallback chains in both passes
+                period = random_text(rng, 6, alphabet) or b"a"
+                t = (period * n)[:n]
+            else:
+                t = bytes(97 + rng.randrange(alphabet) for _ in range(n))
+            pieces = rng.randint(0, 3)
+            if pieces:
+                p = cut_pattern(rng, t, m, pieces)
+            else:
+                p = bytes(97 + rng.randrange(alphabet) for _ in range(m))
+            answer = seg2_linear(t, p)
+            assert answer == dp_decides(t, p, 2)
+            seen.add((pieces, answer))
+            assert _first_ends(p, t) == first_ends_by_find(t, p)
+            tail = _first_ends(p[::-1], memoryview(t)[::-1])
+            assert tail == first_ends_by_find(t[::-1], p[::-1])
+        assert {(1, True), (2, True), (3, True), (3, False), (0, False)} <= seen
 
 
 class TestSege:
