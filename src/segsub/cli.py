@@ -158,23 +158,24 @@ def _cmd_reduce_episode(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    inst = harness.generate_instance(
-        args.kind, _parse_pair(args.lengths),
+    texts = harness.generate_instance(
+        _parse_pair(args.lengths),
         alphabet=args.alphabet, seed=args.seed, similarity=args.similarity,
     )
     if args.json:
-        _emit_json({"kind": inst.kind, "texts": [_latin(t) for t in inst.texts]})
+        _emit_json({"texts": [_latin(t) for t in texts]})
     else:
-        for text in inst.texts:
+        for text in texts:
             _emit_bytes(text)
     return 0
 
 
 def _shell_word(data: bytes) -> str:
     text = _latin(data)
-    if text.isascii() and text.isprintable() and not text.startswith("@"):
+    if text.isascii() and text.isprintable() and not text.startswith(("@", "-")):
         return shlex.quote(text)
-    # any other text reaches the CLI as an @file that bash makes from octal
+    # any other text, or one that argparse would read as an option or the CLI
+    # as a file name, reaches the CLI as an @file that bash makes from octal
     # escapes; the trailing \r\n is what the file reader strips
     return "@<(printf '" + "".join(f"\\{b:03o}" for b in data) + "\\r\\n')"
 
@@ -295,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce_episode)
 
     p = sub.add_parser("gen", parents=[common], help="generate a random instance")
-    p.add_argument("--kind", choices=harness.KINDS, required=True)
     p.add_argument("--lengths", required=True, help="comma-separated pair, e.g. 10,12")
     p.add_argument("--alphabet", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

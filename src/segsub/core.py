@@ -82,7 +82,8 @@ class Embedding:
 
 
 def verify_embedding(t: bytes | str, e: Embedding) -> bool:
-    """Check that the embedding decomposes ``t`` exactly.
+    """Check that each segment occurs in ``t`` at its start, in order and
+    without overlap (gaps between segments are allowed).
 
     Malformed embeddings (wrong arity, out-of-order or out-of-range starts,
     segments that do not match the text) return False rather than raising.

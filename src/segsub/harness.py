@@ -8,30 +8,18 @@ from dataclasses import dataclass, field
 from . import oracle, segmatch, seglcs
 from .indseglcs import indseglcs
 
-KINDS = ("sege", "seglcs", "indseglcs")
-
-
-@dataclass(frozen=True)
-class Instance:
-    kind: str
-    texts: tuple[bytes, bytes]
-
-
 def generate_instance(
-    kind: str,
     lengths: tuple[int, int],
     alphabet: int = 3,
     seed: int = 0,
     similarity: int | None = None,
-) -> Instance:
-    """Uniform random instance, deterministic for a fixed seed.
+) -> tuple[bytes, bytes]:
+    """Uniform random pair of texts, deterministic for a fixed seed.
 
-    With ``similarity`` = k (seglcs only) the second text is the first with k
-    symbol edits confined to its tail, so every per-budget answer stays
-    within k of the text length.
+    With ``similarity`` = k the second text is the first with k symbol edits
+    confined to its tail, so every per-budget segmental LCS stays within k
+    of the text length.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown instance kind {kind!r}")
     if alphabet < 1 or alphabet > 256:
         raise ValueError(f"alphabet size must be in 1..256, got {alphabet}")
     if len(lengths) != 2 or any(n < 0 for n in lengths):
@@ -46,8 +34,6 @@ def generate_instance(
     if similarity is None:
         second = draw(lengths[1])
     else:
-        if kind != "seglcs":
-            raise ValueError("similarity control applies to seglcs instances")
         if similarity < 0 or lengths[1] != lengths[0]:
             raise ValueError("similarity needs equal lengths and k >= 0")
         edited = bytearray(first)
@@ -66,7 +52,7 @@ def generate_instance(
                 shift = 1 + rng.randrange(alphabet - 1)
                 edited[pos] = base + (edited[pos] - base + shift) % alphabet
         second = bytes(edited)
-    return Instance(kind, (first, second))
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -113,6 +99,11 @@ def differential_run(
     for name, value in (("count", count), ("max_len", max_len)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if max_len > oracle.DEFAULT_SIZE_LIMIT:
+        raise oracle.OracleLimitError(
+            f"brute force capped at length {oracle.DEFAULT_SIZE_LIMIT}, "
+            f"max_len is {max_len}"
+        )
     rng = random.Random(seed)
     report = DifferentialReport(cases=count)
 
@@ -127,9 +118,7 @@ def differential_run(
         case_seed = rng.randrange(1 << 30)
         n_t = rng.randint(0, max_len)
         n_p = rng.randint(0, rng.randint(0, max_len))  # bias patterns short
-        pair = generate_instance(
-            "sege", (n_t, n_p), alphabet=alphabet, seed=case_seed
-        ).texts
+        pair = generate_instance((n_t, n_p), alphabet=alphabet, seed=case_seed)
         t, p = pair
         truth = oracle.min_segments_bruteforce(t, p)
         record(
@@ -145,29 +134,28 @@ def differential_run(
                 lengths, similarity = (n1, rng.randint(0, max_len)), None
             else:
                 lengths, similarity = (n1, n1), rng.randint(0, 2)
-            inst = generate_instance(
-                "seglcs", lengths, alphabet=alphabet, seed=case_seed + 1,
+            texts = generate_instance(
+                lengths, alphabet=alphabet, seed=case_seed + 1,
                 similarity=similarity,
             )
-            t1, t2 = inst.texts
+            t1, t2 = texts
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
             expected = oracle.slcs_bruteforce(t1, t2, f)
             for name, solver in (("baseline", seglcs.slcs_baseline),
                                  ("diagonal", seglcs.slcs_diagonal)):
-                record("seglcs", inst.texts, (f,), name, expected, solver(t1, t2, f))
+                record("seglcs", texts, (f,), name, expected, solver(t1, t2, f))
         else:
-            inst = generate_instance(
-                "indseglcs",
+            texts = generate_instance(
                 (rng.randint(0, max_len), rng.randint(0, max_len)),
                 alphabet=alphabet,
                 seed=case_seed + 2,
             )
-            t1, t2 = inst.texts
+            t1, t2 = texts
             f1 = rng.randint(1, max(1, len(t1) // 2 + 2))
             f2 = rng.randint(1, max(1, len(t2) // 2 + 2))
             expected = oracle.indseglcs_bruteforce(t1, t2, f1, f2)
             record(
-                "indseglcs", inst.texts, (f1, f2), "tables",
+                "indseglcs", texts, (f1, f2), "tables",
                 expected, indseglcs(t1, t2, f1, f2),
             )
     return report

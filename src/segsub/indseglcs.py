@@ -10,9 +10,11 @@ symbol, the side-2 symbol, p1 and p2, -inf where a state is empty. A text's
 new symbol left unused applies that side's ``phi`` to the upper (side 1) or
 left (side 2) neighbour; a symbol used in both texts, where t1[i1-1] ==
 t2[i2-1], applies both sides' ``psi`` to the diagonal neighbour and adds one.
-So anti-diagonal d = i1 + i2 depends only on d - 1 and d - 2, and ``solve``
-fills it whole with a fixed number of numpy calls. It keeps three diagonals
-plus two scratch ones, each (min(n1, n2) + 1) * 4 * (g1 + 1) * (g2 + 1)
+So anti-diagonal d = i1 + i2 depends only on d - 1 and d - 2, and
+``indseglcs`` fills it whole with a fixed number of numpy calls. The answer
+is symmetric, so the shorter text is taken as t1 and indexes the rows: cell
+(i1, d - i1) sits at row i1 of each diagonal buffer. It keeps three
+diagonals plus two scratch ones, each (n1 + 1) * 4 * (g1 + 1) * (g2 + 1)
 float32 values (exact for every length below 2**24). A solve whose buffers
 would exceed physical memory raises ``ResourceLimitError`` before allocating.
 """
@@ -57,7 +59,7 @@ def side_config(n: int, f: int, force_family: str | None = None) -> SideConfig:
     still-needed score 0..n-2f.
     """
     check_budget(f)
-    f = max(1, min(f, (n + 1) // 2)) if n else 1
+    f = max(1, min(f, (n + 1) // 2))
     score_span = max(0, n - 2 * f)
     if force_family is not None:
         if force_family not in FAMILIES:
@@ -124,17 +126,14 @@ def indseglcs(
 ) -> int:
     """Length of the longest string within both per-text segment budgets."""
     t1, t2 = as_text(t1), as_text(t2)
-    cfg1 = side_config(len(t1), f1, force_family)
-    cfg2 = side_config(len(t2), f2, force_family)
-    return solve(t1, t2, cfg1, cfg2)
-
-
-def solve(t1: bytes, t2: bytes, cfg1: SideConfig, cfg2: SideConfig) -> int:
-    """Fill the tables one anti-diagonal at a time; return the length at (n1, n2)."""
+    if len(t1) > len(t2):
+        t1, t2, f1, f2 = t2, t1, f2, f1
     n1, n2 = len(t1), len(t2)
+    cfg1 = side_config(n1, f1, force_family)
+    cfg2 = side_config(n2, f2, force_family)
     phi1, psi1 = _OPERATORS[cfg1.family]
     phi2, psi2 = _OPERATORS[cfg2.family]
-    shape = (min(n1, n2) + 1, 2, 2, cfg1.g + 1, cfg2.g + 1)
+    shape = (n1 + 1, 2, 2, cfg1.g + 1, cfg2.g + 1)
     check_allocation(  # five diagonals and two empty-state arrays, float32
         4 * (5 * math.prod(shape) + 2 * (n1 + 1) * (cfg1.g + 1)
              + 2 * (n2 + 1) * (cfg2.g + 1)),
@@ -150,29 +149,27 @@ def solve(t1: bytes, t2: bytes, cfg1: SideConfig, cfg2: SideConfig) -> int:
     codes1, rev2 = np.frombuffer(t1, np.uint8), np.frombuffer(t2, np.uint8)[::-1]
 
     for d in range(n1 + n2 + 1):
-        # a diagonal's cells are i1 = lo .. min(d, n1), stored from index 0
+        # cell (i1, d - i1) of a diagonal is stored at row i1
         cur, cur2 = diags[d % 3]
         prev, prev2 = diags[(d - 1) % 3]
         back2 = diags[(d - 2) % 3][1]
-        lo = max(0, d - n2)
-        if lo == 0:
+        if d <= n2:
             np.minimum(q1[0], q2[d], out=cur[0])  # cell (0, d)
         if d <= n1:
-            np.minimum(q1[d], q2[0], out=cur[d - lo])  # cell (d, 0)
-        a, b = max(1, lo), min(d - 1, n1)  # inner cells, both prefixes nonempty
+            np.minimum(q1[d], q2[0], out=cur[d])  # cell (d, 0)
+        a, b = max(1, d - n2), min(d - 1, n1)  # inner cells, both prefixes nonempty
         if a > b:
             continue
-        k, lo1, lo2 = b - a + 1, max(0, lo - 1), max(0, lo - 2)
-        out, s = cur[a - lo:a - lo + k], step[:k]
-        phi2(prev2[a - lo1:a - lo1 + k], cur2[a - lo:a - lo + k])  # from (i1, i2-1)
-        phi1(prev[a - 1 - lo1:a - 1 - lo1 + k], s)  # from (i1-1, i2)
+        out, s = cur[a:b + 1], step[a:b + 1]
+        phi2(prev2[a:b + 1], cur2[a:b + 1])  # from (i1, i2-1)
+        phi1(prev[a - 1:b], s)  # from (i1-1, i2)
         np.maximum(out, s, out=out)
-        psi2(back2[a - 1 - lo2:a - 1 - lo2 + k], pair2[:k])  # from (i1-1, i2-1)
-        psi1(pair[:k], s)
+        psi2(back2[a - 1:b], pair2[a:b + 1])  # from (i1-1, i2-1)
+        psi1(pair[a:b + 1], s)
         np.add(s, 1, out=s)
         # used only where t1[i1-1] == t2[i2-1]
-        match = codes1[a - 1:b] == rev2[n2 - d + a:n2 - d + a + k]
+        match = codes1[a - 1:b] == rev2[n2 - d + a:n2 - d + b + 1]
         np.maximum(out, s, out=out, where=match[:, None, None, None, None])
 
-    best = diags[(n1 + n2) % 3][0][0, :, :, cfg1.g, cfg2.g].max()
+    best = diags[(n1 + n2) % 3][0][n1, :, :, cfg1.g, cfg2.g].max()
     return int(best) if best != NEG_INF else 0

@@ -31,13 +31,12 @@ def lcsuf_matrix(t1: bytes, t2: bytes) -> np.ndarray:
         4 * ((n1 + 1) * (n2 + 1) + len(symbols) * n2), "the lcsuf matrix"
     )
     x = np.zeros((n1 + 1, n2 + 1), dtype=np.int32)
-    if n1 and n2:
-        b = np.frombuffer(t2, dtype=np.uint8)
-        masks = {c: (b == c).astype(np.int32) for c in symbols}
-        for i, c in enumerate(t1, start=1):
-            row = x[i, 1:]
-            np.add(x[i - 1, :-1], 1, out=row)
-            row *= masks[c]
+    b = np.frombuffer(t2, dtype=np.uint8)
+    masks = {c: (b == c).astype(np.int32) for c in symbols}
+    for i, c in enumerate(t1, start=1):
+        row = x[i, 1:]
+        np.add(x[i - 1, :-1], 1, out=row)
+        row *= masks[c]
     return x
 
 

@@ -110,8 +110,6 @@ def slcs_baseline(
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
     n1, n2 = len(t1), len(t2)
-    if n1 == 0 or n2 == 0:
-        return 0
     f = _clamp_budget(f, min(n1, n2))
     _check_dense(n1, n2, 2, "the baseline's prefix layers")
     filled = -1  # C[0] is not filled
@@ -135,7 +133,7 @@ def slcs_witness(
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
     n1, n2 = len(t1), len(t2)
-    f_used = _clamp_budget(f, min(n1, n2)) if n1 and n2 else 1
+    f_used = _clamp_budget(f, min(n1, n2))
     _check_dense(n1, n2, f_used + 1, "the witness's prefix layers")
     x = lcsuf_matrix(t1, t2)
     layers = list(_chain_layers(x, f_used))
@@ -213,8 +211,6 @@ def diagonal_run(
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     n1, n2 = len(t1), len(t2)
-    if n1 == 0:
-        return DiagonalRun([None, []], [0, 0], n2 + 1, 1)
     f = _clamp_budget(f, n1)
     inf = n2 + 1
     index = None  # on texts that differ by a few tail edits, never built

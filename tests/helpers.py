@@ -52,9 +52,8 @@ def seglcs_visit_counts(
     counts = {"baseline": [], "diagonal": []}
     for idx, n in enumerate(sizes):
         t1, t2 = generate_instance(
-            "seglcs", (n, n), alphabet=alphabet, seed=seed + idx,
-            similarity=similarity,
-        ).texts
+            (n, n), alphabet=alphabet, seed=seed + idx, similarity=similarity
+        )
         for name, solver in (("baseline", slcs_baseline), ("diagonal", slcs_diagonal)):
             stats = SolveStats()
             counts[name].append((n, solver(t1, t2, f, stats=stats), stats.cell_visits))
@@ -212,7 +211,7 @@ def embedding_pieces(t: bytes, positions: tuple[int, ...]) -> list[bytes]:
 # Independent-budget tables one state at a time, straight from the per-side
 # transitions: the states a side state (x, p) is reached from when the new text
 # symbol is left unused (_phi) or used (_psi), and whether the empty string is
-# in it at prefix length i (_empty). indseglcs.solve computes the same tables
+# in it at prefix length i (_empty). indseglcs computes the same tables
 # a diagonal of whole (p1, p2) planes at a time.
 _NEG = float("-inf")
 
@@ -248,7 +247,7 @@ def _empty(x: str, p: int, i: int) -> float:
 
 
 def indseglcs_cellwise(t1: bytes, t2: bytes, cfg1, cfg2) -> int:
-    """Reference for indseglcs.solve: every cell and state filled by a loop."""
+    """Reference for indseglcs: every cell and state filled by a loop."""
     symbols = {"count": ("B", "F"), "score": ("SB", "SF")}
     states1 = [(x, p) for x in symbols[cfg1.family] for p in range(cfg1.g + 1)]
     states2 = [(x, p) for x in symbols[cfg2.family] for p in range(cfg2.g + 1)]

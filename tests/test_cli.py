@@ -162,10 +162,8 @@ def test_file_input_strips_one_line_end(tmp_path, capsys, content, length):
 
 
 def test_gen_deterministic(capsys):
-    code, first, _ = run(capsys, "gen", "--kind", "seglcs", "--lengths", "6,6",
-                         "--seed", "11")
-    code2, second, _ = run(capsys, "gen", "--kind", "seglcs", "--lengths", "6,6",
-                           "--seed", "11")
+    code, first, _ = run(capsys, "gen", "--lengths", "6,6", "--seed", "11")
+    code2, second, _ = run(capsys, "gen", "--lengths", "6,6", "--seed", "11")
     assert code == code2 == 0 and first == second
     assert len(first.splitlines()) == 2
 
@@ -174,6 +172,15 @@ def test_difftest_clean(capsys):
     code, out, _ = run(capsys, "difftest", "--count", "40", "--seed", "2")
     assert code == 0
     assert "mismatches=0" in out
+
+
+def test_difftest_refuses_max_len_above_oracle_cap(capsys):
+    # with this seed no drawn text exceeds the cap, so only the up-front
+    # check can refuse
+    code, out, err = run(capsys, "difftest", "--count", "3", "--max-len", "15",
+                         "--seed", "2")
+    assert code == 3 and out == ""
+    assert "capped at length 14" in err
 
 
 @pytest.mark.parametrize("flag,name", [("--count", "count"), ("--max-len", "max_len")])
@@ -226,18 +233,19 @@ def test_replay_command_per_kind(kind, budgets, algorithm, argv):
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 def test_replay_texts_survive_the_shell():
-    # a NUL byte, a leading "@" and trailing line ends cannot pass as they are
-    text = b"@" + bytes(range(256)) + b"\r\n"
-    m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
-    command = _replay_command(m).replace(
-        "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
-    )
+    # a NUL byte, a leading "@" or "-" and trailing line ends cannot pass as
+    # they are
     env = {**os.environ, "PYTHONPATH": str(Path(segsub.__file__).parents[1])}
-    done = subprocess.run(["bash", "-c", command + " --witness --json"],
-                          capture_output=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    witness = json.loads(done.stdout)["witness"]
-    assert witness["segments"] == [text.decode("latin-1")]
+    for text in (b"@" + bytes(range(256)) + b"\r\n", b"-ab"):
+        m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
+        command = _replay_command(m).replace(
+            "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
+        )
+        done = subprocess.run(["bash", "-c", command + " --witness --json"],
+                              capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, (text, done.stderr)
+        witness = json.loads(done.stdout)["witness"]
+        assert witness["segments"] == [text.decode("latin-1")]
 
 
 def test_usage_error_budget(capsys):

@@ -165,6 +165,26 @@ def test_oversized_tables_refused_before_allocating():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("f", [1, 3])
+@pytest.mark.parametrize("t1, t2", [(b"", b"abc"), (b"abc", b""), (b"", b"")])
+def test_empty_texts_through_every_entry_point(t1, t2, f):
+    # an empty prefix is row 0 of every table, so no solver needs a branch
+    # of its own for an empty text
+    for solver in (slcs_baseline, slcs_diagonal):
+        stats = SolveStats()
+        assert solver(t1, t2, f, stats=stats) == 0
+        assert stats == SolveStats()
+    length, seg, e1, e2 = slcs_witness(t1, t2, f)
+    assert length == 0 and seg.segments == (b"",)
+    assert verify_embedding(t1, e1) and verify_embedding(t2, e2)
+    run = diagonal_run(t1, t2, f, keep_tables=True)
+    assert run.tables == [None, []] and run.max_v_idx == [0, 0] and run.f == 1
+    x = lcsuf_matrix(t1, t2)
+    assert x.shape == (len(t1) + 1, len(t2) + 1) and not x.any()
+    for family in ("count", "score"):
+        assert indseglcs(t1, t2, f, f, force_family=family) == 0
+
+
 class TestFullShortestPrefixTable:
     def test_worked_example_table(self):
         tables = shortest_prefix_tables(T1, T2, 3)
@@ -489,7 +509,7 @@ class TestFixedPoint:
                 assert np.array_equal(layers[h], want[h]), (t1, t2, f, h)
 
     def test_tail_edits_stop_at_level_two(self):
-        t1, t2 = generate_instance("seglcs", (300, 300), alphabet=8, seed=1, similarity=2).texts
+        t1, t2 = generate_instance((300, 300), alphabet=8, seed=1, similarity=2)
         for solver in (slcs_baseline, slcs_diagonal):
             visits = {}
             for f in (2, 16):
@@ -617,8 +637,8 @@ def test_near_copy_runs_match_shortest_prefix_tables():
             assert value == full[h][i][s], (t1, t2, h, i, s)
 
 
-TAIL_EDITS = generate_instance("seglcs", (2000, 2000), alphabet=8, seed=1, similarity=2).texts
-UNIFORM_150 = generate_instance("seglcs", (150, 150), alphabet=4, seed=1).texts
+TAIL_EDITS = generate_instance((2000, 2000), alphabet=8, seed=1, similarity=2)
+UNIFORM_150 = generate_instance((150, 150), alphabet=4, seed=1)
 
 
 @pytest.mark.parametrize("f", [1, 4, 16])
@@ -674,7 +694,7 @@ PINNED_VISITS = {
 def test_pinned_visit_counts(case):
     # the visit counter is a benchmark count, so it must repeat exactly
     _, n, similarity, f = case
-    t1, t2 = generate_instance("seglcs", (n, n), seed=1, similarity=similarity).texts
+    t1, t2 = generate_instance((n, n), seed=1, similarity=similarity)
     stats = SolveStats()
     answer = slcs_diagonal(t1, t2, f, stats=stats)
     assert (answer, stats.cell_visits) == PINNED_VISITS[case]
