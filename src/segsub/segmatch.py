@@ -1,44 +1,49 @@
 """Polynomial-time solvers for segment-budgeted subsequence matching.
 
 ``min_segments`` runs a block-deletion dynamic program over two cost tables
-D and E, where D tracks states that just deleted a text symbol. The f <= 2
-decision runs in linear time from a Knuth-Morris-Pratt prefix-function pass
-that keeps only the first end of each pattern prefix, run forward and over
-the reversed strings. ``sege`` picks its path from the budget alone:
-substring search at f = 1, the linear decider at f = 2, the dynamic program
-otherwise.
+D and E, where D tracks states that just deleted a text symbol, one pattern
+column at a time. The f <= 2 decision runs in linear time from a
+Knuth-Morris-Pratt prefix-function pass that finds the first end of each
+pattern prefix, run forward and over the reversed strings; both stop early.
+``sege`` picks its path from the budget alone: substring search at f = 1,
+the linear decider at f = 2, the dynamic program otherwise.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import as_text, check_budget
+from .core import as_text, check_allocation, check_budget
 
 
-def _cost_rows(t: bytes, p: bytes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the rows (D[i], E[i]) of the block-deletion tables for i = 0..n.
-
+def _cost_columns(t: bytes, p: bytes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the columns (D[:, j], E[:, j]) of the block-deletion tables for
+    j = 0..m, each a new array over text positions i = 0..n. For i, j >= 1,
     D[i][j] = min(D[i-1][j], E[i-1][j] + 1) pays for opening a deleted block;
     E[i][j] = min(E[i-1][j-1], D[i][j]) when t[i] == p[j], else D[i][j].
     Column 0 is 0 (free prefix deletion); row 0 is ``inf`` = n+m+1 past it.
-    Each row depends only on the previous one, so it is computed whole.
+
+    In column j let A[i] = E[i-1][j-1] where t[i] == p[j], else inf (and
+    A[0] = inf), so E[i] = min(A[i], D[i]). Put into D's recurrence, that
+    gives D[i] = min(D[i-1], A[i-1] + 1) = 1 + min(inf - 1, A[0..i-1]): one
+    running minimum. A mismatch holds E[i-1][j-1] + inf + 1 > D[i] in A, not
+    inf, and neither minimum picks it.
     """
-    n, m = len(t), len(p)
-    d = np.full(m + 1, n + m + 1, dtype=np.int64)
-    d[0] = 0
-    e = d.copy()
-    yield d, e
-    pattern = np.frombuffer(p, dtype=np.uint8)
-    matches = {c: pattern == c for c in set(t)}
-    for c in t:
-        # D stays <= inf, so an unreachable E' (= inf) never wins the minimum
-        d = np.minimum(d, e + 1)
-        e_prev, e = e, d.copy()
-        np.minimum(e_prev[:-1], d[1:], out=e[1:], where=matches[c])
+    n, inf = len(t), len(t) + len(p) + 1
+    check_allocation(8 * n * len(set(p)), "the min_segments symbol offsets")
+    text = np.frombuffer(t, dtype=np.uint8)
+    offset = {c: np.where(text == c, 0, np.int64(inf + 1)) for c in set(p)}
+    e = np.zeros(n + 1, dtype=np.int64)
+    yield e.copy(), e
+    a = np.empty(n + 2, dtype=np.int64)  # a[i + 1] = A[i]
+    a[:2] = inf - 1, inf
+    for c in p:
+        np.add(e[:-1], offset[c], out=a[2:])
+        d = np.minimum.accumulate(a[:-1]) + 1
+        e = np.minimum(a[1:], d)
         yield d, e
 
 
@@ -50,22 +55,22 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     each interior block. None when ``p`` is not a subsequence of ``t``.
     """
     t, p = as_text(t), as_text(p)
-    best = min(int(e[-1]) for _, e in _cost_rows(t, p))
+    for _, e in _cost_columns(t, p):
+        pass
+    best = int(e.min())
     return best + 1 if best < len(t) + len(p) + 1 else None
 
 
-def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
-    """first[k]: the least 1-based end in ``t`` of an occurrence of p[:k], or
-    len(t) + 1 if none, for k = 0..len(p). One Knuth-Morris-Pratt prefix-
-    function pass over p, a separator and t, storing the function for p only;
-    the state grows by at most one per symbol, so first[k] is where it first
-    passes its running top."""
+def _prefix_ends(p: bytes, t: Iterable[int]) -> Iterator[int]:
+    """Yield the least 1-based end in ``t`` of p[:k] for k = 1, 2, ..., and
+    stop reading ``t`` once p is found: one Knuth-Morris-Pratt prefix-function
+    pass over p, a separator and t. The state grows by at most one per symbol,
+    so p[:k] first ends where the state first reaches k."""
     m = len(p)
-    first = [0] + [len(t) + 1] * m
     s = [*p, -1]  # p, then a separator that matches no byte: full matches fall back
     pi = [0] * m
     q = top = 0
-    for i, c in enumerate(chain(s[1:], t), start=1):
+    for i, c in enumerate(chain(s[1:], t if p else ()), start=1):
         while q and s[q] != c:
             q = pi[q - 1]
         if s[q] == c:
@@ -74,22 +79,27 @@ def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
             pi[i] = q
         elif q > top:
             top = q
-            first[q] = i - m
-    return first
+            yield i - m
+            if top == m:
+                return
+
+
+def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
+    """first[k]: the least 1-based end in ``t`` of an occurrence of p[:k], or
+    len(t) + 1 if none, for k = 0..len(p)."""
+    first = [0, *_prefix_ends(p, t)]
+    return first + [len(t) + 1] * (len(p) + 1 - len(first))
 
 
 def seg2_linear(t: bytes | str, p: bytes | str) -> bool:
     """Decide membership with at most two segments in O(n + m) time and O(m)
     extra space: accept when some split p = u.v has the first occurrence of u
-    ending before the last occurrence of v starts. Unless p occurs whole, a
-    second pass over reversed views reads all of t, with no early exit."""
+    ending before the last occurrence of v starts. The reversed pass stops
+    reading ``t`` at the first split that accepts."""
     t, p = as_text(t), as_text(p)
-    n, m = len(t), len(p)
     head = _first_ends(p, t)
-    if head[m] <= n:
-        return True  # the pattern occurs as a factor
-    tail = _first_ends(p[::-1], memoryview(t)[::-1])
-    return any(head[k] + tail[m - k] <= n for k in range(m + 1))
+    tail = chain([0], _prefix_ends(p[::-1], reversed(t)))  # tail[k] for k = 0, 1, ...
+    return any(head[len(p) - k] + end <= len(t) for k, end in enumerate(tail))
 
 
 def sege(t: bytes | str, p: bytes | str, f: int) -> bool:

@@ -107,6 +107,25 @@ def llpf_from_first_ends(first: list[int], n: int) -> list[int]:
     return [max(k for k, end in enumerate(first) if end <= i) for i in range(1, n + 1)]
 
 
+def cost_tables_reference(t: bytes, p: bytes) -> tuple[list, list]:
+    """The block-deletion tables D and E as lists of rows, one cell at a time:
+    D[i][j] = min(D[i-1][j], E[i-1][j] + 1) and E[i][j] = min(E[i-1][j-1],
+    D[i][j]) when t[i] == p[j], else D[i][j], for i, j >= 1. Column 0 is 0;
+    row 0 is inf = n+m+1 past it."""
+    n, m = len(t), len(p)
+    inf = n + m + 1
+    D = [[0] + [inf] * m]
+    E = [[0] + [inf] * m]
+    for i in range(1, n + 1):
+        d, e = [0], [0]
+        for j in range(1, m + 1):
+            d.append(min(D[i - 1][j], E[i - 1][j] + 1))
+            e.append(min(E[i - 1][j - 1], d[j]) if t[i - 1] == p[j - 1] else d[j])
+        D.append(d)
+        E.append(e)
+    return D, E
+
+
 def greedy_subsequence(t: bytes, p: bytes) -> bool:
     it = iter(t)
     return all(c in it for c in p)

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsub.oracle import min_segments_bruteforce
-from segsub.segmatch import _cost_rows, _first_ends, min_segments, seg2_linear, sege
+from segsub.segmatch import _cost_columns, _first_ends, min_segments, seg2_linear, sege
 
 from helpers import (
     compute_lpf,
     compute_lsf,
+    cost_tables_reference,
     first_ends_by_find,
     first_reach,
     llpf_from_first_ends,
@@ -46,9 +47,35 @@ def cut_pattern(rng, t, m, pieces):
     return b"".join(out)
 
 
+class Tripwire(bytes):
+    """A text that fails the test when a solver reads symbol ``i`` with
+    ``i >= high`` by forward iteration, or ``i < low`` by indexing (the way
+    ``reversed`` reads)."""
+
+    low, high = 0, float("inf")
+
+    def __iter__(self):
+        for i, c in enumerate(bytes.__iter__(self)):
+            assert i < self.high, f"read symbol {i} going forward"
+            yield c
+
+    def __getitem__(self, i):
+        assert not isinstance(i, int) or i >= self.low, f"read symbol {i} going back"
+        return bytes.__getitem__(self, i)
+
+
+def tripwire(text, low=0, high=float("inf")):
+    wired = Tripwire(text)
+    wired.low, wired.high = low, high
+    return wired
+
+
 def cost_tables(t, p):
-    rows = list(_cost_rows(t, p))
-    return [d.tolist() for d, _ in rows], [e.tolist() for _, e in rows]
+    """D and E as lists of rows, transposed from the solver's columns."""
+    columns = [(d.tolist(), e.tolist()) for d, e in _cost_columns(t, p)]
+    return [list(row) for row in zip(*(d for d, _ in columns))], [
+        list(row) for row in zip(*(e for _, e in columns))
+    ]
 
 
 class TestBorderArrays:
@@ -104,6 +131,15 @@ class TestFirstEnds:
     def test_restart_after_full_match(self):
         assert _first_ends(b"aa", b"aaaa") == [0, 1, 2]
 
+    def test_stops_once_pattern_found(self):
+        t = b"xxabcab" + b"c" * 40
+        assert _first_ends(b"abc", tripwire(t, high=5)) == [0, 3, 4, 5]
+        with pytest.raises(AssertionError, match="going forward"):
+            _first_ends(b"abc", tripwire(t, high=4))
+        assert _first_ends(b"abd", tripwire(t)) == [0, 3, 4, len(t) + 1]
+        assert _first_ends(b"", tripwire(t, high=0)) == [0]
+        assert seg2_linear(tripwire(t, low=len(t), high=0), b"")
+
     def test_empty_pattern_stays_at_zero(self):
         assert _first_ends(b"", b"a") == [0]
 
@@ -133,6 +169,60 @@ class TestMinSegments:
     @given(t=texts, p=patterns)
     def test_matches_bruteforce_hypothesis(self, t, p):
         assert min_segments(t, p) == min_segments_bruteforce(t, p)
+
+
+class TestCostColumns:
+    def test_matches_cellwise_reference(self):
+        rng = random.Random(12)
+        raw = bytes([0, 1, 0x2D, 0xFE, 0xFF])
+        cases = [(b"", b""), (b"", b"ab"), (b"abc", b""), (b"ab", b"aab"),
+                 (raw, raw[::-1]), (b"\x00\xff" * 5, b"\xff\x00\xff")]
+        for case in range(600):
+            symbols = raw if case % 5 == 0 else b"abcd"[: 1 + case % 4]
+            n, m = rng.randint(0, 60), rng.randint(0, 20)
+            if case % 7 == 0:
+                n = rng.randint(0, m)  # the pattern is longer than the text
+            t = bytes(rng.choice(symbols) for _ in range(n))
+            cases.append((t, bytes(rng.choice(symbols) for _ in range(m))))
+        for t, p in cases:
+            assert cost_tables(t, p) == cost_tables_reference(t, p), (t, p)
+
+
+class TestAboveOracleCap:
+    @pytest.fixture(scope="class")
+    def instances(self):
+        rng = random.Random(13)
+        out = []
+        for case in range(12):
+            n = rng.randint(300, 2000)
+            t = bytes(97 + rng.randrange(1 + case % 4) for _ in range(n))
+            pieces = rng.randint(1, 6)
+            out.append((t, cut_pattern(rng, t, rng.randint(pieces, 120), pieces), pieces))
+        return out
+
+    def test_reversal_invariant(self, instances):
+        rng = random.Random(14)
+        for t, p, _ in instances:
+            assert min_segments(t[::-1], p[::-1]) == min_segments(t, p)
+            q = random_text(rng, 40, alphabet=4)
+            assert min_segments(t[::-1], q[::-1]) == min_segments(t, q)
+
+    def test_cut_pattern_within_its_pieces(self, instances):
+        for t, p, pieces in instances:
+            needed = min_segments(t, p)
+            assert needed is not None and needed <= pieces
+
+    def test_sege_agrees_with_min_segments(self, instances):
+        rng = random.Random(15)
+        for t, p, _ in instances:
+            for q in (p, random_text(rng, 30, alphabet=4)):
+                for f in (1, 2, 3):
+                    assert sege(t, q, f) == dp_decides(t, q, f), (f, q)
+
+    def test_longer_pattern_never_embeds(self, instances):
+        for t, _, _ in instances:
+            assert min_segments(t, t + t[:1]) is None
+            assert min_segments(t[:-1], t) is None
 
 
 class TestTablesDump:
@@ -170,6 +260,15 @@ class TestSeg2Linear:
         assert seg2_linear(b"", b"")
         assert seg2_linear(b"abc", b"")
         assert not seg2_linear(b"", b"x")
+
+    def test_reverse_pass_stops_at_accepting_split(self):
+        # "ab" ends at 4 and "cd" starts 7 symbols from the end: the reversed
+        # pass accepts on the 7th symbol it reads, and must read no further
+        t = b"xxab" + b"x" * 300 + b"cd" + b"yyyyy"
+        assert seg2_linear(tripwire(t, low=len(t) - 7), b"abcd")
+        with pytest.raises(AssertionError, match="going back"):
+            seg2_linear(tripwire(t, low=len(t) - 6), b"abcd")
+        assert not seg2_linear(t, b"abdc")
 
     def test_agrees_with_dp_budget_two(self):
         rng = random.Random(7)
