@@ -1,11 +1,12 @@
 """Command-line front end for the solvers, the reduction, and the harness.
 
-Each subcommand parses its arguments, calls the library and prints the
-result. Text arguments are taken as raw bytes; ``@path`` reads a file
-instead, with one trailing line end (LF or CRLF) stripped. Exit codes:
-decision subcommands mirror the answer (0 yes / 1 no), usage errors are 2,
-brute-force size limits are 3, and a solve refused for needing more than
-physical memory is 4.
+Each subcommand parses its arguments, calls the library and returns a JSON
+payload, its plain-text lines and an exit code; ``main`` alone prints the
+payload (under ``--json``) or the lines. Text arguments are taken as raw
+bytes; ``@path`` reads a file instead, with one trailing line end (LF or
+CRLF) stripped. Exit codes: decision subcommands mirror the answer (0 yes /
+1 no), usage errors are 2, brute-force size limits are 3, and a solve
+refused for needing more than physical memory is 4.
 """
 
 from __future__ import annotations
@@ -37,47 +38,30 @@ def _read_text_arg(value: str) -> bytes:
     return os.fsencode(value)
 
 
-def _emit(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
-def _emit_bytes(data: bytes) -> None:
-    sys.stdout.flush()
-    sys.stdout.buffer.write(data + b"\n")
-    sys.stdout.buffer.flush()
-
-
-def _emit_json(payload: dict) -> None:
-    _emit(json.dumps(payload, sort_keys=True))
-
-
 def _latin(data: bytes) -> str:
     return data.decode("latin-1")
 
 
-def _cmd_sege(args) -> int:
+# what a subcommand returns: its JSON payload, its plain-text lines (bytes
+# lines are written raw) and its exit code
+Result = tuple[dict, list, int]
+
+
+def _cmd_sege(args) -> Result:
     answer = segmatch.sege(
         _read_text_arg(args.text), _read_text_arg(args.pattern), args.segments
     )
-    if args.json:
-        _emit_json({"answer": answer})
-    else:
-        _emit("yes" if answer else "no")
-    return 0 if answer else 1
+    return {"answer": answer}, ["yes" if answer else "no"], 0 if answer else 1
 
 
-def _cmd_minsege(args) -> int:
+def _cmd_minsege(args) -> Result:
     value = segmatch.min_segments(
         _read_text_arg(args.text), _read_text_arg(args.pattern)
     )
-    if args.json:
-        _emit_json({"answer": value})
-    else:
-        _emit("nil" if value is None else str(value))
-    return 0
+    return {"answer": value}, ["nil" if value is None else str(value)], 0
 
 
-def _cmd_seglcs(args) -> int:
+def _cmd_seglcs(args) -> Result:
     t1, t2 = _read_text_arg(args.t1), _read_text_arg(args.t2)
     f = check_budget(args.segments)
     if args.dump_tables and args.algo != "diagonal":
@@ -86,88 +70,63 @@ def _cmd_seglcs(args) -> int:
         raise ValueError("--witness and --dump-tables cannot be combined")
     if args.witness and args.algo == "oracle":
         raise ValueError("--witness is not available with the oracle algorithm")
-    payload: dict = {}
-    run = None
+    lines = []
     if args.witness:
         length, seg, emb1, emb2 = seglcs.slcs_witness(t1, t2, f)
-        payload["length"] = length
-        payload["witness"] = {
-            "segments": [_latin(s) for s in seg.segments],
+        segments = [_latin(s) for s in seg.segments]
+        payload = {"length": length, "witness": {
+            "segments": segments,
             "starts1": list(emb1.starts),
             "starts2": list(emb2.starts),
-        }
+        }}
+        lines = [f"{segment}\t{s1}\t{s2}" for segment, s1, s2
+                 in zip(segments, emb1.starts, emb2.starts)]
     elif args.algo == "baseline":
-        payload["length"] = seglcs.slcs_baseline(t1, t2, f)
+        payload = {"length": seglcs.slcs_baseline(t1, t2, f)}
     elif args.algo == "oracle":
-        payload["length"] = oracle.slcs_bruteforce(t1, t2, f)
+        payload = {"length": oracle.slcs_bruteforce(t1, t2, f)}
     elif args.dump_tables:
         run = seglcs.diagonal_run(t1, t2, f, keep_tables=True)
-        payload["length"] = run.max_v_idx[run.f]
-    else:
-        payload["length"] = seglcs.slcs_diagonal(t1, t2, f)
-    if run is not None:
-        payload["tables"] = [
+        tables = [
             [h, i - s, s, value if value < run.infinity else "inf"]
             for h, i, s, value in run.cells()
         ]
-    if args.json:
-        _emit_json(payload)
-        return 0
-    _emit(str(payload["length"]))
-    if args.witness:
-        w = payload["witness"]
-        for segment, s1, s2 in zip(w["segments"], w["starts1"], w["starts2"]):
-            _emit(f"{segment}\t{s1}\t{s2}")
-    for row in payload.get("tables", ()):
-        _emit(" ".join(map(str, row)))
-    return 0
+        payload = {"length": run.max_v_idx[run.f], "tables": tables}
+        lines = [" ".join(map(str, row)) for row in tables]
+    else:
+        payload = {"length": seglcs.slcs_diagonal(t1, t2, f)}
+    return payload, [str(payload["length"]), *lines], 0
 
 
-def _cmd_indseglcs(args) -> int:
+def _cmd_indseglcs(args) -> Result:
     force = None if args.force_family == "auto" else args.force_family
     length = indseglcs(
         _read_text_arg(args.t1), _read_text_arg(args.t2),
         check_budget(args.f1), check_budget(args.f2), force_family=force,
     )
-    if args.json:
-        _emit_json({"length": length})
-    else:
-        _emit(str(length))
-    return 0
+    return {"length": length}, [str(length)], 0
 
 
-def _cmd_reduce_episode(args) -> int:
+def _cmd_reduce_episode(args) -> Result:
     t = _read_text_arg(args.text)
     p = _read_text_arg(args.pattern)
     t_out, p_out, f = reduction.build_episode_reduction(t, p, args.bound)
-    verified = None
-    if args.verify:
-        verified = reduction.check_reduction_equivalence(t, p, args.bound)
-    if args.json:
-        payload = {"text": _latin(t_out), "pattern": _latin(p_out), "segments": f}
-        if verified is not None:
-            payload["verified"] = verified
-        _emit_json(payload)
-    else:
-        _emit_bytes(t_out)
-        _emit_bytes(p_out)
-        _emit(str(f))
-        if verified is not None:
-            _emit(f"verified: {'yes' if verified else 'no'}")
-    return 0 if verified in (None, True) else 1
+    payload = {"text": _latin(t_out), "pattern": _latin(p_out), "segments": f}
+    lines = [t_out, p_out, str(f)]
+    if not args.verify:
+        return payload, lines, 0
+    verified = reduction.check_reduction_equivalence(t, p, args.bound)
+    payload["verified"] = verified
+    lines.append(f"verified: {'yes' if verified else 'no'}")
+    return payload, lines, 0 if verified else 1
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Result:
     texts = harness.generate_instance(
         _parse_pair(args.lengths),
         alphabet=args.alphabet, seed=args.seed, similarity=args.similarity,
     )
-    if args.json:
-        _emit_json({"texts": [_latin(t) for t in texts]})
-    else:
-        for text in texts:
-            _emit_bytes(text)
-    return 0
+    return {"texts": [_latin(t) for t in texts]}, list(texts), 0
 
 
 def _shell_word(data: bytes) -> str:
@@ -195,38 +154,30 @@ def _replay_command(m: harness.Mismatch) -> str:
     return f"segsub {m.kind} {args}"
 
 
-def _cmd_difftest(args) -> int:
+def _cmd_difftest(args) -> Result:
     report = harness.differential_run(
         args.count, max_len=args.max_len, alphabet=args.alphabet, seed=args.seed
     )
-    if args.json:
-        _emit_json(
-            {
-                "cases": report.cases,
-                "checks": report.checks,
-                "mismatches": [
-                    {
-                        "kind": m.kind,
-                        "texts": [_latin(t) for t in m.texts],
-                        "budgets": list(m.budgets),
-                        "algorithm": m.algorithm,
-                        "expected": m.expected,
-                        "got": m.got,
-                        "replay": _replay_command(m),
-                    }
-                    for m in report.mismatches
-                ],
-            }
+    mismatches = []
+    lines = [report.summary()]
+    for m in report.mismatches:
+        replay = _replay_command(m)
+        mismatches.append({
+            "kind": m.kind,
+            "texts": [_latin(t) for t in m.texts],
+            "budgets": list(m.budgets),
+            "algorithm": m.algorithm,
+            "expected": m.expected,
+            "got": m.got,
+            "replay": replay,
+        })
+        lines.append(
+            f"MISMATCH {m.kind} algo={m.algorithm} texts={m.texts!r} "
+            f"budgets={m.budgets} expected={m.expected} got={m.got}"
         )
-    else:
-        _emit(report.summary())
-        for m in report.mismatches:
-            _emit(
-                f"MISMATCH {m.kind} algo={m.algorithm} texts={m.texts!r} "
-                f"budgets={m.budgets} expected={m.expected} got={m.got}"
-            )
-            _emit(f"REPLAY {_replay_command(m)}")
-    return 0 if report.ok else 1
+        lines.append(f"REPLAY {replay}")
+    payload = {"cases": report.cases, "checks": report.checks, "mismatches": mismatches}
+    return payload, lines, 0 if report.ok else 1
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -316,9 +267,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.json = getattr(args, "json", False)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        if getattr(args, "json", False):
+            lines = [json.dumps(payload, sort_keys=True)]
+        for line in lines:
+            if isinstance(line, bytes):
+                sys.stdout.flush()
+                sys.stdout.buffer.write(line + b"\n")
+                sys.stdout.buffer.flush()
+            else:
+                print(line)
+        return code
     except OracleLimitError as exc:
         print(f"segsub: {exc}", file=sys.stderr)
         return LIMIT_EXIT

@@ -17,7 +17,7 @@ from .core import as_text, check_allocation
 _SEPARATOR = 256  # one past the byte alphabet, never occurs in a text
 
 
-def lcsuf_matrix(t1: bytes, t2: bytes) -> np.ndarray:
+def lcsuf_matrix(t1: bytes | str, t2: bytes | str) -> np.ndarray:
     """Dense (n1+1) x (n2+1) table of common-suffix lengths.
 
     Row and column 0 are zero; x[i, j] = x[i-1, j-1] + 1 when t1[i] == t2[j]
@@ -25,6 +25,7 @@ def lcsuf_matrix(t1: bytes, t2: bytes) -> np.ndarray:
     (t2 == c), and row i is row i-1 shifted right, plus one, times the mask
     of t1[i], computed in place.
     """
+    t1, t2 = as_text(t1), as_text(t2)
     n1, n2 = len(t1), len(t2)
     symbols = set(t1)
     check_allocation(

@@ -1,7 +1,12 @@
 """Exponential-time reference implementations used as ground truth in tests.
 
-Every function enumerates witnesses outright, so results are trustworthy but
-inputs are capped by a configurable size limit.
+Each function searches the whole space of answers by a route independent of
+the solvers: ``min_segments_bruteforce`` walks every embedding,
+``slcs_bruteforce`` is a memoised recursion over (i1, i2, remaining,
+open), ``indseglcs_bruteforce`` enumerates subsequences and
+``episode_bruteforce`` scans every window. Inputs are capped at
+``DEFAULT_SIZE_LIMIT`` symbols; only ``min_segments_bruteforce`` takes
+another cap per call.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ class OracleLimitError(Exception):
     """An input exceeded the brute-force size limit."""
 
 
-def _check_sizes(limit: int, *texts: bytes) -> None:
+def _check_sizes(*texts: bytes, limit: int = DEFAULT_SIZE_LIMIT) -> None:
     for t in texts:
         if len(t) > limit:
             raise OracleLimitError(
@@ -35,7 +40,7 @@ def min_segments_bruteforce(
     a subsequence of ``t``.
     """
     t, p = as_text(t), as_text(p)
-    _check_sizes(limit, t, p)
+    _check_sizes(t, p, limit=limit)
     if not p:
         return 1
     n, m = len(t), len(p)
@@ -57,9 +62,7 @@ def min_segments_bruteforce(
     return best
 
 
-def slcs_bruteforce(
-    t1: bytes | str, t2: bytes | str, f: int, limit: int = DEFAULT_SIZE_LIMIT
-) -> int:
+def slcs_bruteforce(t1: bytes | str, t2: bytes | str, f: int) -> int:
     """Longest string with one f-segmentation embeddable in both texts.
 
     Walks both texts in lockstep; a segment may only be extended while both
@@ -67,7 +70,7 @@ def slcs_bruteforce(
     """
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
-    _check_sizes(limit, t1, t2)
+    _check_sizes(t1, t2)
     n1, n2 = len(t1), len(t2)
     if n1 == 0 or n2 == 0:
         return 0
@@ -97,13 +100,7 @@ def slcs_bruteforce(
     return result
 
 
-def indseglcs_bruteforce(
-    t1: bytes | str,
-    t2: bytes | str,
-    f1: int,
-    f2: int,
-    limit: int = DEFAULT_SIZE_LIMIT,
-) -> int:
+def indseglcs_bruteforce(t1: bytes | str, t2: bytes | str, f1: int, f2: int) -> int:
     """Longest string within both per-text segment budgets.
 
     Enumerates the distinct subsequences of the shorter text by bitmask and
@@ -112,7 +109,7 @@ def indseglcs_bruteforce(
     check_budget(f1)
     check_budget(f2)
     t1, t2 = as_text(t1), as_text(t2)
-    _check_sizes(limit, t1, t2)
+    _check_sizes(t1, t2)
     if len(t1) <= len(t2):
         short, other, f_short, f_other = t1, t2, f1, f2
     else:
@@ -124,24 +121,22 @@ def indseglcs_bruteforce(
         if len(u) <= best or u in seen:
             continue
         seen.add(u)
-        a = min_segments_bruteforce(short, u, limit)
+        a = min_segments_bruteforce(short, u)
         if a is None or a > f_short:
             continue
-        b = min_segments_bruteforce(other, u, limit)
+        b = min_segments_bruteforce(other, u)
         if b is not None and b <= f_other:
             best = len(u)
     return best
 
 
-def episode_bruteforce(
-    t: bytes | str, p: bytes | str, h: int, limit: int = DEFAULT_SIZE_LIMIT
-) -> bool:
+def episode_bruteforce(t: bytes | str, p: bytes | str, h: int) -> bool:
     """Does some factor of ``t`` of length at most ``h`` contain ``p`` as a
     classic subsequence?"""
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"window bound must be a positive integer, got {h!r}")
     t, p = as_text(t), as_text(p)
-    _check_sizes(limit, t, p)
+    _check_sizes(t, p)
     if not p:
         return True
     for start in range(len(t)):

@@ -33,11 +33,9 @@ def build_episode_reduction(
     return t_out, p_out, 3 * n + m + h - 4
 
 
-def check_reduction_equivalence(
-    t: bytes | str, p: bytes | str, h: int, limit: int = oracle.DEFAULT_SIZE_LIMIT
-) -> bool:
+def check_reduction_equivalence(t: bytes | str, p: bytes | str, h: int) -> bool:
     """Both sides of the reduction, evaluated independently, must agree."""
     t, p = as_text(t), as_text(p)
-    episode = oracle.episode_bruteforce(t, p, h, limit=limit)
+    episode = oracle.episode_bruteforce(t, p, h)
     t_out, p_out, f = build_episode_reduction(t, p, h)
     return episode == segmatch.sege(t_out, p_out, f)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import segsub
-from segsub import seglcs
+from segsub import reduction, seglcs
 from segsub.cli import _replay_command, main
 from segsub.harness import Mismatch
 
@@ -271,3 +272,70 @@ def test_resource_limit_exit(capsys):
     code, out, err = run(capsys, "indseglcs", "--t1", "ab" * 10_000,
                          "--t2", "ba" * 10_000, "--f1", "5000", "--f2", "5000")
     assert code == 4 and out == "" and "physical memory" in err
+
+
+@pytest.fixture
+def unverified(monkeypatch):
+    """Make the reduction's brute-force cross-check report disagreement."""
+    monkeypatch.setattr(reduction, "check_reduction_equivalence",
+                        lambda t, p, h: False)
+
+
+REDUCED = {"text": "$0" * 6 + "$$0$$1$$0$$1$$" + "0$" * 6,
+           "pattern": "$" * 8 + "00" + "$" * 8, "segments": 13}
+EPISODE = ["reduce-episode", "--text", "0101", "--pattern", "00", "--bound", "3"]
+
+
+@pytest.mark.parametrize("argv, fault, code, payload", [
+    (EPISODE, None, 0, REDUCED),
+    (EPISODE + ["--verify"], None, 0, {**REDUCED, "verified": True}),
+    (EPISODE + ["--verify"], "unverified", 1, {**REDUCED, "verified": False}),
+    (["gen", "--lengths", "6,6", "--seed", "11"], None, 0,
+     {"texts": ["bcbbcc", "aacbcc"]}),
+    (["difftest", "--count", "40", "--seed", "2"], None, 0,
+     {"cases": 40, "checks": 220, "mismatches": []}),
+    (["difftest", "--count", "1", "--seed", "2"], "text_off_by_one", 1,
+     {"cases": 1, "checks": 6, "mismatches": [{
+         "kind": "seglcs", "texts": ["bbacbcccaa", "caab"], "budgets": [3],
+         "algorithm": "diagonal", "expected": 3, "got": 2,
+         "replay": "segsub seglcs --t1 bbacbcccaa --t2 caab --segments 3"
+                   " --algo diagonal"}]}),
+    (["seglcs", "--t1", "abcb", "--t2", "bcab", "--segments", "2",
+      "--dump-tables"], None, 0,
+     {"length": 3, "tables": [
+         [1, 0, 1, 3], [1, 0, 2, 4], [1, 0, 3, "inf"],
+         [1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 3, "inf"],
+         [2, 0, 1, 3], [2, 0, 2, 4], [2, 0, 3, "inf"],
+         [2, 1, 1, 1], [2, 1, 2, 2], [2, 1, 3, 4]]}),
+    (["seglcs", "--t1", "abcxdexf", "--t2", "abycdef", "--segments", "2",
+      "--witness"], None, 0,
+     {"length": 4, "witness": {"segments": ["ab", "de"], "starts1": [1, 5],
+                               "starts2": [1, 5]}}),
+], ids=["episode", "episode-verified", "episode-unverified", "gen",
+        "difftest-clean", "difftest-fault", "dump-tables", "witness"])
+def test_json_payload(capsys, request, argv, fault, code, payload):
+    if fault:
+        request.getfixturevalue(fault)
+    got, out, err = run(capsys, *argv, "--json")
+    assert (got, err) == (code, "")
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == payload
+
+
+def _readme_examples():
+    """One case per ``segsub`` line of README's command-line block: its
+    arguments and the output printed under it, ``# ...`` remarks dropped."""
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## Command line")[1].split("```")[1]
+    for paragraph in block.strip("\n").split("\n\n"):
+        command, *printed = paragraph.split("\n")
+        if command.startswith("segsub difftest --count 10000 "):
+            continue  # left to the CI difftests: it takes seconds
+        printed = "".join(re.sub(r"\s+# .*", "", line) + "\n" for line in printed)
+        yield pytest.param(shlex.split(command)[1:], printed, id=command[7:])
+
+
+@pytest.mark.parametrize("argv, printed", _readme_examples())
+def test_readme_example(capsysbinary, argv, printed):
+    main(argv)
+    assert capsysbinary.readouterr().out.decode("latin-1").expandtabs() == printed

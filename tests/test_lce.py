@@ -65,6 +65,11 @@ def test_matrix_recurrence():
                 assert x[i, j] == 0
 
 
+def test_matrix_accepts_str():
+    assert (lcsuf_matrix("abcab", "cab") == lcsuf_matrix(b"abcab", b"cab")).all()
+    assert LcsufIndex("abcab", "cab").query(5, 3) == 3
+
+
 def test_query_matches_brute_force_exhaustive():
     rng = random.Random(9)
     for alphabet in (1, 2, 4):
