@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import harness, oracle, reduction, segmatch, seglcs
-from .core import ResourceLimitError, check_budget
+from .core import ResourceLimitError
 from .indseglcs import indseglcs
 from .oracle import OracleLimitError
 
@@ -63,7 +63,6 @@ def _cmd_minsege(args) -> Result:
 
 def _cmd_seglcs(args) -> Result:
     t1, t2 = _read_text_arg(args.t1), _read_text_arg(args.t2)
-    f = check_budget(args.segments)
     if args.dump_tables and args.algo != "diagonal":
         raise ValueError("--dump-tables requires the diagonal algorithm")
     if args.witness and args.dump_tables:
@@ -72,7 +71,7 @@ def _cmd_seglcs(args) -> Result:
         raise ValueError("--witness is not available with the oracle algorithm")
     lines = []
     if args.witness:
-        length, seg, emb1, emb2 = seglcs.slcs_witness(t1, t2, f)
+        length, seg, emb1, emb2 = seglcs.slcs_witness(t1, t2, args.segments)
         segments = [_latin(s) for s in seg.segments]
         payload = {"length": length, "witness": {
             "segments": segments,
@@ -82,11 +81,11 @@ def _cmd_seglcs(args) -> Result:
         lines = [f"{segment}\t{s1}\t{s2}" for segment, s1, s2
                  in zip(segments, emb1.starts, emb2.starts)]
     elif args.algo == "baseline":
-        payload = {"length": seglcs.slcs_baseline(t1, t2, f)}
+        payload = {"length": seglcs.slcs_baseline(t1, t2, args.segments)}
     elif args.algo == "oracle":
-        payload = {"length": oracle.slcs_bruteforce(t1, t2, f)}
+        payload = {"length": oracle.slcs_bruteforce(t1, t2, args.segments)}
     elif args.dump_tables:
-        run = seglcs.diagonal_run(t1, t2, f, keep_tables=True)
+        run = seglcs.diagonal_run(t1, t2, args.segments, keep_tables=True)
         tables = [
             [h, i - s, s, value if value < run.infinity else "inf"]
             for h, i, s, value in run.cells()
@@ -94,7 +93,7 @@ def _cmd_seglcs(args) -> Result:
         payload = {"length": run.max_v_idx[run.f], "tables": tables}
         lines = [" ".join(map(str, row)) for row in tables]
     else:
-        payload = {"length": seglcs.slcs_diagonal(t1, t2, f)}
+        payload = {"length": seglcs.slcs_diagonal(t1, t2, args.segments)}
     return payload, [str(payload["length"]), *lines], 0
 
 
@@ -102,7 +101,7 @@ def _cmd_indseglcs(args) -> Result:
     force = None if args.force_family == "auto" else args.force_family
     length = indseglcs(
         _read_text_arg(args.t1), _read_text_arg(args.t2),
-        check_budget(args.f1), check_budget(args.f2), force_family=force,
+        args.f1, args.f2, force_family=force,
     )
     return {"length": length}, [str(length)], 0
 

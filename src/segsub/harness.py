@@ -18,7 +18,8 @@ def generate_instance(
 
     With ``similarity`` = k the second text is the first with k symbol edits
     confined to its tail, so every per-budget segmental LCS stays within k
-    of the text length.
+    of the text length. A one-symbol alphabet has no other symbol to write,
+    so there the second text is an unedited copy of the first.
     """
     if alphabet < 1 or alphabet > 256:
         raise ValueError(f"alphabet size must be in 1..256, got {alphabet}")

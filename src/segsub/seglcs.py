@@ -40,8 +40,10 @@ class SolveStats:
     """Machine-independent work counters filled in by the solvers.
 
     ``cell_visits`` counts the table cells a solver filled (for the diagonal
-    solver, the scan positions it stepped over); ``lcsuf_lookups`` counts the
-    lcsuf range minima the diagonal solver took, which no exact test settled.
+    solver, the scan positions it stepped over: per filled column, the scan
+    pointer's final position, min(last value, n2)); ``lcsuf_lookups`` counts
+    the lcsuf range minima the diagonal solver took, which no exact test
+    settled.
     """
 
     cell_visits: int = 0
@@ -295,18 +297,13 @@ def diagonal_run(
                 matched = cand  # the accepted match, or 0 when none passed
                 value = cand or stop
                 column.append(value)
-                # every j from the pointer to the cell's value was visited
                 if value == inf:
-                    visits += n2 - j + 1
-                    # deeper cells on this diagonal are infinite as well
-                    if s - 1 > max_v[h]:
-                        max_v[h] = s - 1
-                    break
-                visits += value - j + 1
+                    break  # deeper cells on this diagonal are infinite as well
                 j = value + 1
-            else:  # the diagonal ran to the end of t1
-                if n1 - diag > max_v[h]:
-                    max_v[h] = n1 - diag
+            # each finite cell moved the pointer from j to its value + 1, so the
+            # scan visited up to the last finite value, or all of t2 at an inf
+            visits += min(column[-1], n2)
+            max_v[h] = max(max_v[h], len(column) - 1 - (column[-1] == inf))
             diag += 1
         if h > 1 and level == below:
             # level h+1 would be computed from level h exactly as level h

@@ -255,6 +255,21 @@ def test_usage_error_budget(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["seglcs", "--segments", "0", "--algo", "diagonal"],
+    ["seglcs", "--segments", "0", "--algo", "baseline"],
+    ["seglcs", "--segments", "0", "--algo", "oracle"],
+    ["seglcs", "--segments", "0", "--witness"],
+    ["seglcs", "--segments", "0", "--dump-tables"],
+    ["indseglcs", "--f1", "0", "--f2", "1"],
+    ["indseglcs", "--f1", "1", "--f2", "0"],
+])
+def test_usage_error_budget_every_solver(capsys, argv):
+    # the library refuses the budget on every path the CLI can take
+    code, out, err = run(capsys, *argv, "--t1", "abc", "--t2", "abd")
+    assert code == 2 and out == "" and "budget" in err
+
+
 def test_usage_error_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         main(["sege", "--text", "a", "--pattern", "a", "--segments", "1",

@@ -597,6 +597,27 @@ class TestVisitCounters:
         assert diag >= base // 20
 
 
+def _assert_counters_match_tables(
+    run: DiagonalRun, stats: SolveStats, t1: bytes, t2: bytes
+) -> None:
+    """Read the counters off the filled levels of a ``keep_tables`` run: the
+    scan pointer ends each column at min(last value, n2), a level reaches its
+    longest run of finite cells, and the layer-major scan stays within
+    sum_h n2*(n1 - max_v_idx[h] + 1), with n1 <= n2."""
+    n1, n2 = sorted((len(t1), len(t2)))
+    visits = bound = 0
+    for h in range(1, run.f + 1):
+        if run.tables[h] is run.tables[h - 1]:
+            continue  # a level past the fixed point is not filled
+        columns = run.tables[h]
+        visits += sum(min(column[-1], n2) for column in columns)
+        finite = [len(c) - 1 - (c[-1] == run.infinity) for c in columns]
+        assert run.max_v_idx[h] == max(finite, default=0), h
+        bound += n2 * (n1 - run.max_v_idx[h] + 1)
+    assert stats.cell_visits == visits
+    assert stats.cell_visits <= bound
+
+
 def test_diagonal_runs_match_shortest_prefix_tables():
     # every stored cell equals the table built from the definition, whichever
     # of the solver's lcsuf lookup tests decided it, and a length-only run
@@ -610,6 +631,7 @@ def test_diagonal_runs_match_shortest_prefix_tables():
         lean = diagonal_run(t1, t2, f, stats=lean_stats)
         assert lean.max_v_idx == run.max_v_idx, (t1, t2, f)
         assert lean_stats.cell_visits == stats.cell_visits
+        _assert_counters_match_tables(run, stats, t1, t2)
         short, long = sorted((t1, t2), key=len)
         if short:
             full = shortest_prefix_tables(short, long, run.f)
@@ -632,6 +654,7 @@ def test_near_copy_runs_match_shortest_prefix_tables():
         lean = diagonal_run(t1, t2, f, stats=lean_stats)
         assert lean.max_v_idx == run.max_v_idx, (t1, t2, f)
         assert lean_stats == stats
+        _assert_counters_match_tables(run, stats, t1, t2)
         full = shortest_prefix_tables(t1, t2, run.f)
         for h, i, s, value in run.cells():
             assert value == full[h][i][s], (t1, t2, h, i, s)
