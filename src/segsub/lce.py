@@ -4,8 +4,8 @@
 (1-based). ``LcsufIndex`` answers it in constant time from a suffix array,
 its LCP array (Kasai et al. 2001) and a sparse table of LCP range minima,
 built over the reversed texts joined by a separator outside the byte
-alphabet. ``lcsuf_matrix`` is the dense table that the baseline solver reads
-whole.
+alphabet. ``lcsuf_matrix`` is the whole table, dense, which the tests check
+the index against.
 """
 
 from __future__ import annotations

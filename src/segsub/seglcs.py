@@ -1,12 +1,11 @@
 """Two solvers for the segmental LCS length, plus witness reconstruction.
 
-``slcs_baseline`` fills the prefix table C(i, j, h) layer by layer in
-O(f*n1*n2) time; each layer is the 2D running maximum of the candidate
-matrix Z(i, j) = x + C(i-x, j-x, h-1) with x the common-suffix length, so a
-layer reduces to one gather and two cumulative maxima. In the row-major
-layout of an (n1+1) x (n2+1) layer, cell (i-x, j-x) lies x*(n2+2) places
-before cell (i, j), whatever the layer, so the gather reads the previous
-layer through flat source offsets computed from x alone.
+``slcs_baseline`` fills the prefix table C(i, h, j) in O(f*n1*n2) time, one
+row of the shorter text at a time with every level in the row, so it keeps
+two rows, O(f*n2) space. A match-run array carried with the row stands in
+for the common-suffix term x + C(i-x, h-1, j-x), so a row costs four numpy
+calls over all its levels, with no lcsuf table. ``slcs_witness`` keeps every
+row and traces a witness back through them.
 
 ``slcs_diagonal`` fills sparse shortest-prefix tables L(i, s, h) one
 diagonal (i - s = const) at a time with a non-resetting scan pointer over
@@ -17,9 +16,12 @@ carried along each grid diagonal, and the ``LcsufIndex`` is built only at
 the first lookup they leave, so similar texts often need no index at all.
 
 Both solvers stop at the level fixed point. Level h is the same function of
-level h-1 for every h, so once a level equals the one below it, every deeper
-level equals it too: the deeper levels are not filled, they share the object
-of the level they repeat, and the work counters count only filled levels.
+level h-1 for every h, so while a level equals the one below it, every deeper
+level equals it too. The baseline applies this row by row: level h+1 is
+filled only from the row after the first on which level h differs from
+level h-1. The diagonal solver applies it to whole levels: the deeper levels
+share the object of the level they repeat. The work counters count only
+filled levels.
 """
 
 from __future__ import annotations
@@ -30,16 +32,16 @@ from typing import Iterator
 import numpy as np
 
 from .core import Embedding, Segmentation, as_text, check_allocation, check_budget
-from .lce import LcsufIndex, lcsuf_matrix
-
-_GATHER_BLOCK = 128  # rows gathered at a time; bounds the offset buffer
+# segbench traces the calls into lce by patching both names on this module
+from .lce import LcsufIndex, lcsuf_matrix  # noqa: F401
 
 
 @dataclass
 class SolveStats:
     """Machine-independent work counters filled in by the solvers.
 
-    ``cell_visits`` counts the table cells a solver filled (for the diagonal
+    ``cell_visits`` counts the table cells a solver filled (for the baseline,
+    each row's filled levels times the longer text's length; for the diagonal
     solver, the scan positions it stepped over: per filled column, the scan
     pointer's final position, min(last value, n2)); ``lcsuf_lookups`` counts
     the lcsuf range minima the diagonal solver took, which no exact test
@@ -56,114 +58,137 @@ def _clamp_budget(f: int, shorter: int) -> int:
     return max(1, min(f, shorter))
 
 
-def _chain_layers(x: np.ndarray, f: int) -> Iterator[np.ndarray]:
-    """Yield the prefix-table layers C[h] for h = 0..f from the common-suffix
-    table ``x``; only the previous layer is kept between steps. Once a layer
-    equals the previous one, every deeper layer equals it too, so that same
-    array is yielded for the remaining levels and none of them is filled.
+def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
+    """Yield the prefix table C(i, h, j) one row of t1 at a time: row i is an
+    array of shape (top_i + 1, n2 + 1) holding levels h = 0..top_i over
+    j = 0..n2. Every level above top_i equals level top_i on row i.
 
-    Each layer is gathered a block of rows at a time: the flat source of
-    cell p is p - x[p]*(n2+2), written into one reused offset buffer, and
-    ``np.take`` reads the previous layer through it straight into the new
-    one. The sources are in range by construction (i - x >= 0, j - x >= 0),
-    so ``mode="clip"`` changes no value; it only spares ``take`` the copy
-    of ``out`` that bounds checking makes.
+    A match-run array Z rides along with the row: Z(i, h, j) is
+    max(C(i-1, h-1, j-1), Z(i-1, h, j-1)) + 1 where t1[i] == t2[j], which is
+    the largest x + C(i-x, h-1, j-x) over 1 <= x <= lcsuf(i, j). At a
+    mismatch a bump of -(n1 + n2 + 2) replaces the +1, so Z falls below every
+    C and no max ever picks it. Row i of level h is then the running maximum
+    along j of max(C(i-1, h, .), Z(i, h, .)).
+
+    ``top`` is the lowest level that has equalled the level below it on every
+    row so far; the levels above it equal it there and are not filled. When
+    row i's level ``top`` differs from level top-1, level top+1 starts on row
+    i+1 from level top's row i, up to level f. Its Z there needs no copy: it
+    would be Z(i, top, .), which never exceeds C(i, top, .), the level below
+    level top+1; the zeros and column-0 misses that its buffer holds serve
+    as well.
     """
-    width = x.shape[1]
-    flat_x = x.ravel()
-    step = _GATHER_BLOCK * width
-    src = np.empty(min(step, x.size), dtype=np.intp)
-    # np.zeros leaves C[0]'s pages untouched (zeros_like would write them)
-    prev = np.zeros(x.shape, dtype=x.dtype)
-    yield prev
-    for h in range(1, f + 1):
-        cur = np.empty(x.shape, dtype=x.dtype)
-        for lo in range(0, x.size, step):
-            hi = min(lo + step, x.size)
-            block = src[: hi - lo]
-            np.multiply(flat_x[lo:hi], -(width + 1), out=block, dtype=np.intp)
-            np.add(block, np.arange(lo, hi), out=block)
-            np.take(prev.ravel(), block, out=cur.ravel()[lo:hi], mode="clip")
-        cur += x
-        np.maximum.accumulate(cur, axis=0, out=cur)
-        np.maximum.accumulate(cur, axis=1, out=cur)
-        yield cur
-        # the corners differ on almost every layer below the fixed point
-        if cur[-1, -1] == prev[-1, -1] and np.array_equal(cur, prev):
-            for _ in range(h, f):
-                yield cur
-            return
-        prev = cur
+    n1, n2 = len(t1), len(t2)
+    w = n2 + 1
+    yield np.zeros((1, w), dtype=np.int32)  # row 0 is zero on every level
+    # Z is one flat buffer, level after level, so that its cell (h, j) reads
+    # C's cell (h-1, j-1) and Z's cell (h, j-1) of the row above w+1 and 1
+    # places earlier. A fill writes the top*w cells from (1, 1) on: each
+    # level's j = 1..n2, then column 0 of the level above, whose bump is a
+    # miss so that it stays below every C. Cell (1, 0) is never written, and
+    # a spare cell past level f takes the end of the last fill.
+    miss = -(n1 + n2 + 2)
+    b = np.frombuffer(t2, dtype=np.uint8)
+    bumps = {
+        c: np.where(np.append(b == c, False), np.int32(1), np.int32(miss))
+        for c in set(t1)
+    }
+    z, z_next = np.zeros((2, (f + 1) * w + 1), dtype=np.int32)
+    row = np.zeros((2, w), dtype=np.int32)  # level 1 starts on row 1
+    top = 1
+    for c in t1:
+        size = top * w
+        fill = z_next[w + 1 : w + 1 + size]
+        np.maximum(row.ravel()[:size], z[w : w + size], out=fill)
+        block = fill.reshape(top, w)
+        block += bumps[c]
+        row = np.maximum(row, z_next[: size + w].reshape(top + 1, w))
+        np.maximum.accumulate(row[1:], axis=1, out=row[1:])
+        yield row
+        z, z_next = z_next, z
+        if top < f and not np.array_equal(row[top], row[top - 1]):
+            row = np.vstack((row, row[top]))
+            top += 1
 
 
-def _check_dense(n1: int, n2: int, layers: int, what: str) -> None:
-    """Refuse a dense solve whose int32 lcsuf table, ``layers`` live prefix
-    layers, one block of gather offsets and the boolean mask of the fixed
-    point test would exceed physical memory."""
-    cells = (n1 + 1) * (n2 + 1)
-    offsets = 2 * 8 * min(_GATHER_BLOCK * (n2 + 1), cells)  # buffer and arange
-    check_allocation(4 * cells * (1 + layers) + cells + offsets, what)
+def _dense_bytes(n_short: int, n_long: int, f: int, rows: int) -> int:
+    """Bytes that a dense solve keeping ``rows`` table rows allocates: each
+    row and the two Z buffers hold at most f+1 int32 levels over the longer
+    text, plus one bump per symbol of the shorter text and the mask of the
+    fixed-point test."""
+    width = n_long + 1
+    symbols = min(n_short, 256)
+    return 4 * width * ((f + 1) * (rows + 2) + symbols) + width
 
 
 def slcs_baseline(
     t1: bytes | str, t2: bytes | str, f: int, stats: SolveStats | None = None
 ) -> int:
-    """Segmental LCS length via the layered prefix-table recurrence."""
+    """Segmental LCS length via the prefix-table recurrence, two rows at a time."""
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
     n1, n2 = len(t1), len(t2)
-    f = _clamp_budget(f, min(n1, n2))
-    _check_dense(n1, n2, 2, "the baseline's prefix layers")
-    filled = -1  # C[0] is not filled
-    layer = None
-    for nxt in _chain_layers(lcsuf_matrix(t1, t2), f):
-        filled += nxt is not layer
-        layer = nxt
+    f = _clamp_budget(f, n1)
+    check_allocation(_dense_bytes(n1, n2, f, 2), "the baseline's prefix rows")
+    filled = 0
+    for row in _table_rows(t1, t2, f):
+        filled += len(row) - 1
     if stats is not None:
-        stats.cell_visits += filled * n1 * n2
-    return int(layer[n1, n2])
+        stats.cell_visits += filled * n2
+    return int(row[-1, -1])
 
 
 def slcs_witness(
     t1: bytes | str, t2: bytes | str, f: int
 ) -> tuple[int, Segmentation, Embedding, Embedding]:
-    """A maximum-length witness via traceback over the full prefix table.
+    """A maximum-length witness via traceback over every row of the prefix table.
 
     Returns (length, segmentation, embedding into t1, embedding into t2);
     the empty segmentation when the texts share nothing.
     """
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
+    swapped = len(t1) > len(t2)
+    if swapped:
+        t1, t2 = t2, t1
     n1, n2 = len(t1), len(t2)
-    f_used = _clamp_budget(f, min(n1, n2))
-    _check_dense(n1, n2, f_used + 1, "the witness's prefix layers")
-    x = lcsuf_matrix(t1, t2)
-    layers = list(_chain_layers(x, f_used))
-    length = int(layers[f_used][n1, n2])
+    f_used = _clamp_budget(f, n1)
+    check_allocation(_dense_bytes(n1, n2, f_used, n1 + 1), "the witness's prefix rows")
+    rows = list(_table_rows(t1, t2, f_used))
 
+    def cell(i: int, h: int, j: int) -> int:
+        row = rows[i]
+        return row[min(h, len(row) - 1), j]
+
+    length = int(cell(n1, f_used, n2))
     segments: list[bytes] = []
     starts1: list[int] = []
     starts2: list[int] = []
     i, j, h = n1, n2, f_used
-    while h > 0 and layers[h][i, j] > 0:
-        value = layers[h][i, j]
-        if j > 0 and layers[h][i, j - 1] == value:
+    while h > 0 and (value := cell(i, h, j)) > 0:
+        if j > 0 and cell(i, h, j - 1) == value:
             j -= 1
-        elif i > 0 and layers[h][i - 1, j] == value:
+        elif i > 0 and cell(i - 1, h, j) == value:
             i -= 1
         else:
-            xv = int(x[i, j])
-            assert value == xv + layers[h - 1][i - xv, j - xv]
-            if xv > 0:
-                segments.append(t1[i - xv : i])
-                starts1.append(i - xv + 1)
-                starts2.append(j - xv + 1)
-            i -= xv
-            j -= xv
+            x = 0  # lcsuf(i, j), walked back over the texts
+            while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
+                x += 1
+            assert value == x + cell(i - x, h - 1, j - x)
+            if x > 0:
+                segments.append(t1[i - x : i])
+                starts1.append(i - x + 1)
+                starts2.append(j - x + 1)
+            i -= x
+            j -= x
             h -= 1
     segments.reverse()
     starts1.reverse()
     starts2.reverse()
+    if swapped:
+        starts1, starts2 = starts2, starts1
     if not segments:
         seg = Segmentation((b"",))
         return 0, seg, Embedding(seg, (1,)), Embedding(seg, (1,))

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from segsub.core import as_text
 from segsub.harness import generate_instance
-from segsub.lce import lcsuf_matrix
-from segsub.seglcs import SolveStats, _chain_layers, slcs_baseline, slcs_diagonal
+from segsub.seglcs import SolveStats, _table_rows, slcs_baseline, slcs_diagonal
 
 
 def random_text(rng: random.Random, max_len: int, alphabet: int = 3) -> bytes:
@@ -132,9 +133,11 @@ def greedy_subsequence(t: bytes, p: bytes) -> bool:
 
 
 def chain_table(t1: bytes, t2: bytes, f: int) -> list:
-    """All layers C[h][i, j] for h = 0..f from the baseline's layer
-    generator, with no budget clamping."""
-    return list(_chain_layers(lcsuf_matrix(t1, t2), f))
+    """All layers C[h][i, j] for h = 0..f from the baseline's row generator,
+    with t1 as the rows and no budget clamping: a row holds levels up to its
+    top, and every level above the top equals it."""
+    rows = list(_table_rows(t1, t2, f))
+    return [np.array([row[min(h, len(row) - 1)] for row in rows]) for h in range(f + 1)]
 
 
 def chain_table_reference(t1: bytes, t2: bytes, f: int) -> list[list[list[int]]]:
@@ -159,6 +162,22 @@ def chain_table_reference(t1: bytes, t2: bytes, f: int) -> list[list[list[int]]]
                 )
         layers.append(layer)
     return layers
+
+
+def baseline_visits_reference(t1: bytes, t2: bytes, f: int) -> int:
+    """The cells slcs_baseline fills, read off ``chain_table_reference``: its
+    rows run over the shorter text, each over the whole longer one, and a row
+    fills level 1, plus level h+1 for each h below the clamped budget whose
+    first row that differs from level h-1 lies above it."""
+    short, long = sorted((t1, t2), key=len)
+    f = max(1, min(f, len(short)))
+    layers = chain_table_reference(short, long, f)
+    n = len(short)
+    firsts = [
+        next((i for i in range(n + 1) if layers[h][i] != layers[h - 1][i]), n + 1)
+        for h in range(1, f)
+    ]
+    return len(long) * sum(1 + sum(first < i for first in firsts) for i in range(1, n + 1))
 
 
 def brute_lcsuf(t1: bytes, t2: bytes, i: int, j: int) -> int:
