@@ -2,17 +2,17 @@
 
 ``min_segments`` runs a block-deletion dynamic program over two cost tables
 D and E, where D tracks states that just deleted a text symbol, one pattern
-column at a time. The f <= 2 decision runs in linear time from a
-Knuth-Morris-Pratt prefix-function pass that finds the first end of each
-pattern prefix, run forward and over the reversed strings; both stop early.
-``sege`` picks its path from the budget alone: substring search at f = 1,
-the linear decider at f = 2, the dynamic program otherwise.
+column at a time. The f <= 2 decision finds the first end of each pattern
+prefix with a bit-parallel pass (Baeza-Yates and Gonnet's Shift-And with the
+bits over the text), run forward and over the reversed strings. ``sege``
+picks its path from the budget alone: substring search at f = 1, that
+decider at f = 2, the dynamic program otherwise.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -61,27 +61,22 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     return best + 1 if best < len(t) + len(p) + 1 else None
 
 
-def _prefix_ends(p: bytes, t: Iterable[int]) -> Iterator[int]:
-    """Yield the least 1-based end in ``t`` of p[:k] for k = 1, 2, ..., and
-    stop reading ``t`` once p is found: one Knuth-Morris-Pratt prefix-function
-    pass over p, a separator and t. The state grows by at most one per symbol,
-    so p[:k] first ends where the state first reaches k."""
-    m = len(p)
-    s = [*p, -1]  # p, then a separator that matches no byte: full matches fall back
-    pi = [0] * m
-    q = top = 0
-    for i, c in enumerate(chain(s[1:], t if p else ()), start=1):
-        while q and s[q] != c:
-            q = pi[q - 1]
-        if s[q] == c:
-            q += 1
-        if i < m:
-            pi[i] = q
-        elif q > top:
-            top = q
-            yield i - m
-            if top == m:
-                return
+def _prefix_ends(p: bytes, t: bytes | memoryview) -> Iterator[int]:
+    """Yield the least 1-based end in ``t`` of p[:k] for k = 1, 2, ..., while
+    p[:k] occurs. Bit s of ``starts`` is set while p[:k] occurs at 0-based
+    start s, so one AND per pattern symbol, over ceil(n/w) int digits, moves
+    k on; the mask of each distinct symbol reached costs O(n) once."""
+    text = np.frombuffer(bytes(t), dtype=np.uint8)
+    masks: dict[int, int] = {}
+    starts = (1 << (len(text) + 1)) - 1
+    for k, c in enumerate(p):
+        if c not in masks:  # bit i set where t[i] == c
+            bits = np.packbits(text == c, bitorder="little")
+            masks[c] = int.from_bytes(bits.tobytes(), "little")
+        starts &= masks[c] >> k
+        if not starts:
+            return
+        yield (starts & -starts).bit_length() + k
 
 
 def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
@@ -92,13 +87,17 @@ def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
 
 
 def seg2_linear(t: bytes | str, p: bytes | str) -> bool:
-    """Decide membership with at most two segments in O(n + m) time and O(m)
-    extra space: accept when some split p = u.v has the first occurrence of u
-    ending before the last occurrence of v starts. The reversed pass stops
-    reading ``t`` at the first split that accepts."""
+    """Decide membership with at most two segments: accept when some split
+    p = u.v has the first occurrence of u ending before the last occurrence
+    of v starts. Each pass takes O(s*n + k*ceil(n/w)) time and s masks of n
+    bits, where k <= m is the number of pattern symbols it reads before no
+    start survives or a split accepts, s <= min(k, 256) the distinct symbols
+    among them and w the int digit width. The name dates from a linear
+    Knuth-Morris-Pratt pass, and stays because callers import it; that pass
+    only wins when a long prefix or suffix of p recurs all along t."""
     t, p = as_text(t), as_text(p)
     head = _first_ends(p, t)
-    tail = chain([0], _prefix_ends(p[::-1], reversed(t)))  # tail[k] for k = 0, 1, ...
+    tail = chain([0], _prefix_ends(p[::-1], t[::-1]))  # tail[k] for k = 0, 1, ...
     return any(head[len(p) - k] + end <= len(t) for k, end in enumerate(tail))
 
 

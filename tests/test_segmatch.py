@@ -1,4 +1,4 @@
-"""Tests for the matching dynamic program and the linear f <= 2 decision."""
+"""Tests for the matching dynamic program and the bit-parallel f <= 2 decision."""
 
 import random
 
@@ -45,29 +45,6 @@ def cut_pattern(rng, t, m, pieces):
         start = offsets[idx] + a + idx
         out.append(t[start : start + b - a])
     return b"".join(out)
-
-
-class Tripwire(bytes):
-    """A text that fails the test when a solver reads symbol ``i`` with
-    ``i >= high`` by forward iteration, or ``i < low`` by indexing (the way
-    ``reversed`` reads)."""
-
-    low, high = 0, float("inf")
-
-    def __iter__(self):
-        for i, c in enumerate(bytes.__iter__(self)):
-            assert i < self.high, f"read symbol {i} going forward"
-            yield c
-
-    def __getitem__(self, i):
-        assert not isinstance(i, int) or i >= self.low, f"read symbol {i} going back"
-        return bytes.__getitem__(self, i)
-
-
-def tripwire(text, low=0, high=float("inf")):
-    wired = Tripwire(text)
-    wired.low, wired.high = low, high
-    return wired
 
 
 def cost_tables(t, p):
@@ -133,12 +110,10 @@ class TestFirstEnds:
 
     def test_stops_once_pattern_found(self):
         t = b"xxabcab" + b"c" * 40
-        assert _first_ends(b"abc", tripwire(t, high=5)) == [0, 3, 4, 5]
-        with pytest.raises(AssertionError, match="going forward"):
-            _first_ends(b"abc", tripwire(t, high=4))
-        assert _first_ends(b"abd", tripwire(t)) == [0, 3, 4, len(t) + 1]
-        assert _first_ends(b"", tripwire(t, high=0)) == [0]
-        assert seg2_linear(tripwire(t, low=len(t), high=0), b"")
+        assert _first_ends(b"abc", t) == [0, 3, 4, 5]
+        assert _first_ends(b"abd", t) == [0, 3, 4, len(t) + 1]
+        assert _first_ends(b"", t) == [0]
+        assert seg2_linear(t, b"")
 
     def test_empty_pattern_stays_at_zero(self):
         assert _first_ends(b"", b"a") == [0]
@@ -262,12 +237,10 @@ class TestSeg2Linear:
         assert not seg2_linear(b"", b"x")
 
     def test_reverse_pass_stops_at_accepting_split(self):
-        # "ab" ends at 4 and "cd" starts 7 symbols from the end: the reversed
-        # pass accepts on the 7th symbol it reads, and must read no further
+        # "ab" ends at 4 and "cd" starts 7 symbols from the end: the split
+        # ab.cd accepts, while no split of "abdc" does
         t = b"xxab" + b"x" * 300 + b"cd" + b"yyyyy"
-        assert seg2_linear(tripwire(t, low=len(t) - 7), b"abcd")
-        with pytest.raises(AssertionError, match="going back"):
-            seg2_linear(tripwire(t, low=len(t) - 6), b"abcd")
+        assert seg2_linear(t, b"abcd")
         assert not seg2_linear(t, b"abdc")
 
     def test_agrees_with_dp_budget_two(self):
@@ -304,6 +277,45 @@ class TestSeg2Linear:
             tail = _first_ends(p[::-1], memoryview(t)[::-1])
             assert tail == first_ends_by_find(t[::-1], p[::-1])
         assert {(1, True), (2, True), (3, True), (3, False), (0, False)} <= seen
+
+
+RAW = bytes([0x00, 0x7F, 0x80, 0xFF])
+
+
+def boundary_cases(n):
+    """Texts of length n over one to four raw bytes, with patterns cut from
+    them, patterns longer than them and a last symbol that occurs only at the
+    end, so the surviving starts reach the top bits of the masks."""
+    rng = random.Random(n)
+    cases = [(RAW[:1] * n, RAW[:1] * max(n - 1, 0) + RAW[3:]),
+             (RAW[:1] * max(n - 1, 0) + RAW[3:], RAW[:1] * (n // 2) + RAW[3:])]
+    for case in range(40):
+        t = bytes(rng.choice(RAW[: 1 + case % 4]) for _ in range(n))
+        i, j, k, l = sorted(rng.randint(0, n) for _ in range(4))
+        cases += [(t, t), (t, t + bytes([RAW[case % 4]])), (t, t[i:j] + t[k:l]),
+                  (t, t[k:l] + t[i:j]), (t, bytes(rng.choice(RAW) for _ in range(case % 7)))]
+    return cases
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 29, 30, 31, 63, 64, 65])
+class TestBitBoundaries:
+    """Text lengths around the byte padding of ``np.packbits`` and the 30-bit
+    digits of CPython ints, over bytes on both sides of 0x80."""
+
+    def test_first_ends_agree_with_find(self, n):
+        for t, p in boundary_cases(n):
+            assert _first_ends(p, t) == first_ends_by_find(t, p), (t, p)
+            tail = _first_ends(p[::-1], memoryview(t)[::-1])
+            assert tail == first_ends_by_find(t[::-1], p[::-1]), (t, p)
+
+    def test_seg2_linear_agrees_with_dp(self, n):
+        seen = set()
+        for t, p in boundary_cases(n):
+            answer = seg2_linear(t, p)
+            assert answer == dp_decides(t, p, 2), (t, p)
+            assert seg2_linear(t.decode("latin-1"), p.decode("latin-1")) == answer
+            seen.add((len(p) > n, answer))
+        assert {(False, True), (True, False)} <= seen
 
 
 class TestSege:
