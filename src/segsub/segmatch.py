@@ -2,16 +2,16 @@
 
 ``min_segments`` runs a block-deletion dynamic program over two cost tables
 D and E, where D tracks states that just deleted a text symbol, one pattern
-column at a time. The f <= 2 decision finds the first end of each pattern
-prefix with a bit-parallel pass (Baeza-Yates and Gonnet's Shift-And with the
-bits over the text), run forward and over the reversed strings. ``sege``
-picks its path from the budget alone: substring search at f = 1, that
-decider at f = 2, the dynamic program otherwise.
+column at a time. The f <= 2 decision is one bit-parallel pass over the
+pattern: Baeza-Yates and Gonnet's Shift-And with the bits over the text,
+extended to one gap as in Navarro and Raffinot, carrying the ends of each
+prefix in one piece and in at most two. ``sege`` picks its path from the
+budget alone: substring search at f = 1, that decider at f = 2, the dynamic
+program otherwise.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -61,44 +61,32 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     return best + 1 if best < len(t) + len(p) + 1 else None
 
 
-def _prefix_ends(p: bytes, t: bytes | memoryview) -> Iterator[int]:
-    """Yield the least 1-based end in ``t`` of p[:k] for k = 1, 2, ..., while
-    p[:k] occurs. Bit s of ``starts`` is set while p[:k] occurs at 0-based
-    start s, so one AND per pattern symbol, over ceil(n/w) int digits, moves
-    k on; the mask of each distinct symbol reached costs O(n) once."""
-    text = np.frombuffer(bytes(t), dtype=np.uint8)
-    masks: dict[int, int] = {}
-    starts = (1 << (len(text) + 1)) - 1
-    for k, c in enumerate(p):
-        if c not in masks:  # bit i set where t[i] == c
-            bits = np.packbits(text == c, bitorder="little")
-            masks[c] = int.from_bytes(bits.tobytes(), "little")
-        starts &= masks[c] >> k
-        if not starts:
-            return
-        yield (starts & -starts).bit_length() + k
-
-
-def _first_ends(p: bytes, t: bytes | memoryview) -> list[int]:
-    """first[k]: the least 1-based end in ``t`` of an occurrence of p[:k], or
-    len(t) + 1 if none, for k = 0..len(p)."""
-    first = [0, *_prefix_ends(p, t)]
-    return first + [len(t) + 1] * (len(p) + 1 - len(first))
-
-
 def seg2_linear(t: bytes | str, p: bytes | str) -> bool:
-    """Decide membership with at most two segments: accept when some split
-    p = u.v has the first occurrence of u ending before the last occurrence
-    of v starts. Each pass takes O(s*n + k*ceil(n/w)) time and s masks of n
-    bits, where k <= m is the number of pattern symbols it reads before no
-    start survives or a split accepts, s <= min(k, 256) the distinct symbols
-    among them and w the int digit width. The name dates from a linear
-    Knuth-Morris-Pratt pass, and stays because callers import it; that pass
-    only wins when a long prefix or suffix of p recurs all along t."""
+    """Decide membership with at most two segments in one pass over ``p``
+    (Shift-And extended to a pattern with one gap, the bits over the text).
+    After p[:k], bit e of ``one`` is set where p[:k] ends at 1-based position
+    e in one piece, and bit e of ``two`` where it ends there in at most two.
+    A second piece may start anywhere from the first one-piece end on: -one
+    sets that end's bit and every bit above it that ``one`` lacks, and ``two``
+    holds ``one``, so ``two | -one`` covers them all. Takes O(s*n +
+    k*ceil(n/w)) time and s masks of n bits, where k <= m is the number of
+    pattern symbols read before no two-piece prefix survives, s <= min(k,
+    256) the distinct symbols among them and w the int digit width. The name
+    dates from a linear Knuth-Morris-Pratt pass, and stays because callers
+    import it."""
     t, p = as_text(t), as_text(p)
-    head = _first_ends(p, t)
-    tail = chain([0], _prefix_ends(p[::-1], t[::-1]))  # tail[k] for k = 0, 1, ...
-    return any(head[len(p) - k] + end <= len(t) for k, end in enumerate(tail))
+    text = np.frombuffer(t, dtype=np.uint8)
+    masks: dict[int, int] = {}
+    one = two = -1  # every bit set: the empty prefix ends everywhere
+    for c in p:
+        if c not in masks:  # bit e set where t[e-1] == c
+            bits = np.packbits(text == c, bitorder="little")
+            masks[c] = int.from_bytes(bits.tobytes(), "little") << 1
+        two = ((two | -one) << 1) & masks[c]
+        if not two:
+            return False
+        one = (one << 1) & masks[c]
+    return True
 
 
 def sege(t: bytes | str, p: bytes | str, f: int) -> bool:

@@ -14,13 +14,14 @@ from segsub.indseglcs import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import min_segments_bruteforce
 from segsub.reduction import build_episode_reduction, check_reduction_equivalence
-from segsub.segmatch import _first_ends, min_segments, seg2_linear, sege
+from segsub.segmatch import min_segments, seg2_linear, sege
 from segsub.seglcs import diagonal_run, slcs_baseline, slcs_diagonal
 
 from helpers import (
     classic_lcs_len,
     compute_lpf,
     compute_lsf,
+    first_ends_by_find,
     first_reach,
     llpf_from_first_ends,
     random_text,
@@ -51,13 +52,13 @@ def test_criterion_1_golden_table_1():
         llpf = [0, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5]
         assert compute_lpf(t, p) == lpf
         assert compute_lsf(t, p) == lsf
-        # the library's first ends are the first-reach positions of the
-        # golden LLPF and of the golden LSF read right to left
-        head = _first_ends(p, t)
+        # the first ends are the first-reach positions of the golden LLPF
+        # and of the golden LSF read right to left
+        head = first_ends_by_find(t, p)
         assert head == [0, 2, 6, 9, 10, 11, 22, 22, 22]
         assert head == first_reach(llpf, len(p))
         assert llpf_from_first_ends(head, len(t)) == llpf
-        tail = _first_ends(p[::-1], memoryview(t)[::-1])
+        tail = first_ends_by_find(t[::-1], p[::-1])
         assert tail == [0, 1, 7, 8, 22, 22, 22, 22, 22]
         assert tail == first_reach(lsf[::-1], len(p))
         assert seg2_linear(t, p) is True
@@ -194,8 +195,10 @@ def test_criterion_7_invariant_suite():
         # running-maximum prefix array is monotone
         for _ in range(200):
             t, p = random_text(rng, 20), random_text(rng, 6)
-            rebuilt = llpf_from_first_ends(_first_ends(p, t), len(t))
+            rebuilt = llpf_from_first_ends(first_ends_by_find(t, p), len(t))
             assert all(a <= b for a, b in zip(rebuilt, rebuilt[1:]))
+            needed = min_segments(t, p)
+            assert seg2_linear(t, p) == (needed is not None and needed <= 2)
 
         # the suffix-array index agrees with the dense lcsuf table, two
         # independent constructions, on full query grids up to length 200

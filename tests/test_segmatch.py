@@ -1,5 +1,6 @@
 """Tests for the matching dynamic program and the bit-parallel f <= 2 decision."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsub.oracle import min_segments_bruteforce
-from segsub.segmatch import _cost_columns, _first_ends, min_segments, seg2_linear, sege
+from segsub.segmatch import _cost_columns, min_segments, seg2_linear, sege
 
 from helpers import (
     compute_lpf,
@@ -33,6 +34,13 @@ def dp_decides(t, p, f):
     """The budget-f decision read off the quadratic DP."""
     needed = min_segments(t, p)
     return needed is not None and needed <= f
+
+
+def split_decides(t, p):
+    """The budget-2 decision read off the first ends by ``bytes.find``: some
+    split p = u.v has u's first end before v's last start."""
+    head, tail = first_ends_by_find(t, p), first_ends_by_find(t[::-1], p[::-1])
+    return any(head[k] + tail[len(p) - k] <= len(t) for k in range(len(p) + 1))
 
 
 def cut_pattern(rng, t, m, pieces):
@@ -63,13 +71,14 @@ class TestBorderArrays:
         assert compute_lsf(T1, P1) == LSF1
 
     def test_llpf_golden(self):
-        head = _first_ends(P1, T1)
+        head = first_ends_by_find(T1, P1)
         assert head == [0, 2, 6, 9, 10, 11, 22, 22, 22]
         assert head == first_reach(LLPF1, len(P1))
         assert llpf_from_first_ends(head, len(T1)) == LLPF1
-        tail = _first_ends(P1[::-1], memoryview(T1)[::-1])
+        tail = first_ends_by_find(T1[::-1], P1[::-1])
         assert tail == [0, 1, 7, 8, 22, 22, 22, 22, 22]
         assert tail == first_reach(LSF1[::-1], len(P1))
+        assert seg2_linear(T1, P1) == dp_decides(T1, P1, 2) == split_decides(T1, P1)
 
     def test_empty_pattern(self):
         assert compute_lpf(b"abc", b"") == [0, 0, 0]
@@ -85,16 +94,17 @@ class TestBorderArrays:
         for _ in range(150):
             t, p = random_text(rng, 12), random_text(rng, 5)
             lpf, lsf = compute_lpf(t, p), compute_lsf(t, p)
-            assert _first_ends(p, t) == first_reach(lpf, len(p))
-            tail = _first_ends(p[::-1], memoryview(t)[::-1])
+            assert first_ends_by_find(t, p) == first_reach(lpf, len(p))
+            tail = first_ends_by_find(t[::-1], p[::-1])
             assert tail == first_reach(lsf[::-1], len(p))
+            assert seg2_linear(t, p) == dp_decides(t, p, 2)
 
     def test_breakpoints_bounded_and_monotone(self):
         rng = random.Random(5)
         for _ in range(200):
             t, p = random_text(rng, 14), random_text(rng, 6)
             lpf = compute_lpf(t, p)
-            first = _first_ends(p, t)
+            first = first_ends_by_find(t, p)
             assert len(first) == len(p) + 1
             n = len(t)
             assert all(k <= end <= n or end == n + 1 for k, end in enumerate(first))
@@ -102,21 +112,26 @@ class TestBorderArrays:
             rebuilt = llpf_from_first_ends(first, len(t))
             assert rebuilt == [max(lpf[: i + 1], default=0) for i in range(len(t))]
             assert all(a <= b for a, b in zip(rebuilt, rebuilt[1:]))
+            assert seg2_linear(t, p) == dp_decides(t, p, 2)
 
 
 class TestFirstEnds:
     def test_restart_after_full_match(self):
-        assert _first_ends(b"aa", b"aaaa") == [0, 1, 2]
+        assert first_ends_by_find(b"aaaa", b"aa") == [0, 1, 2]
+        assert seg2_linear(b"aaaa", b"aa") == dp_decides(b"aaaa", b"aa", 2)
 
     def test_stops_once_pattern_found(self):
         t = b"xxabcab" + b"c" * 40
-        assert _first_ends(b"abc", t) == [0, 3, 4, 5]
-        assert _first_ends(b"abd", t) == [0, 3, 4, len(t) + 1]
-        assert _first_ends(b"", t) == [0]
+        assert first_ends_by_find(t, b"abc") == [0, 3, 4, 5]
+        assert first_ends_by_find(t, b"abd") == [0, 3, 4, len(t) + 1]
+        assert first_ends_by_find(t, b"") == [0]
+        for p in (b"abc", b"abd", b""):
+            assert seg2_linear(t, p) == dp_decides(t, p, 2)
         assert seg2_linear(t, b"")
 
     def test_empty_pattern_stays_at_zero(self):
-        assert _first_ends(b"", b"a") == [0]
+        assert first_ends_by_find(b"a", b"") == [0]
+        assert seg2_linear(b"a", b"") == dp_decides(b"a", b"", 2)
 
 
 class TestMinSegments:
@@ -236,7 +251,7 @@ class TestSeg2Linear:
         assert seg2_linear(b"abc", b"")
         assert not seg2_linear(b"", b"x")
 
-    def test_reverse_pass_stops_at_accepting_split(self):
+    def test_split_across_long_gap(self):
         # "ab" ends at 4 and "cd" starts 7 symbols from the end: the split
         # ab.cd accepts, while no split of "abdc" does
         t = b"xxab" + b"x" * 300 + b"cd" + b"yyyyy"
@@ -260,7 +275,7 @@ class TestSeg2Linear:
         for case in range(200):
             n, m = rng.randint(100, 400), rng.randint(5, 60)
             alphabet = rng.randint(1, 4)
-            if case % 3 == 0:  # periodic: long fallback chains in both passes
+            if case % 3 == 0:  # periodic: many one-piece ends survive long
                 period = random_text(rng, 6, alphabet) or b"a"
                 t = (period * n)[:n]
             else:
@@ -273,10 +288,27 @@ class TestSeg2Linear:
             answer = seg2_linear(t, p)
             assert answer == dp_decides(t, p, 2)
             seen.add((pieces, answer))
-            assert _first_ends(p, t) == first_ends_by_find(t, p)
-            tail = _first_ends(p[::-1], memoryview(t)[::-1])
-            assert tail == first_ends_by_find(t[::-1], p[::-1])
+            assert split_decides(t, p) == answer
         assert {(1, True), (2, True), (3, True), (3, False), (0, False)} <= seen
+
+    def test_exhaustive_binary_against_oracle(self):
+        # every split, including a second piece that starts right at the
+        # first piece's end and one that starts a symbol before it
+        for n in range(9):
+            for t in map(bytes, itertools.product(b"ab", repeat=n)):
+                for m in range(6):
+                    for p in map(bytes, itertools.product(b"ab", repeat=m)):
+                        needed = min_segments_bruteforce(t, p)
+                        expected = needed is not None and needed <= 2
+                        assert seg2_linear(t, p) == expected, (t, p)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 2000])
+    def test_unary_text_keeps_both_states_alive(self, n):
+        for t in (b"a" * n, b"a" * (n // 2) + b"b" + b"a" * (n - n // 2)):
+            for k in (n - 2, n - 1, n, n + 1):
+                for p in (b"a" * k + b"b", b"b" + b"a" * k, b"a" * k,
+                          b"a" * (k // 2) + b"b" + b"a" * (k - k // 2)):
+                    assert seg2_linear(t, p) == dp_decides(t, p, 2), (len(t), p)
 
 
 RAW = bytes([0x00, 0x7F, 0x80, 0xFF])
@@ -285,7 +317,7 @@ RAW = bytes([0x00, 0x7F, 0x80, 0xFF])
 def boundary_cases(n):
     """Texts of length n over one to four raw bytes, with patterns cut from
     them, patterns longer than them and a last symbol that occurs only at the
-    end, so the surviving starts reach the top bits of the masks."""
+    end, so the surviving ends reach the top bits of the masks."""
     rng = random.Random(n)
     cases = [(RAW[:1] * n, RAW[:1] * max(n - 1, 0) + RAW[3:]),
              (RAW[:1] * max(n - 1, 0) + RAW[3:], RAW[:1] * (n // 2) + RAW[3:])]
@@ -304,9 +336,8 @@ class TestBitBoundaries:
 
     def test_first_ends_agree_with_find(self, n):
         for t, p in boundary_cases(n):
-            assert _first_ends(p, t) == first_ends_by_find(t, p), (t, p)
-            tail = _first_ends(p[::-1], memoryview(t)[::-1])
-            assert tail == first_ends_by_find(t[::-1], p[::-1]), (t, p)
+            answer = seg2_linear(t, p)
+            assert answer == split_decides(t, p) == dp_decides(t, p, 2), (t, p)
 
     def test_seg2_linear_agrees_with_dp(self, n):
         seen = set()
