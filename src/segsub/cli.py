@@ -85,12 +85,15 @@ def _cmd_seglcs(args) -> Result:
     elif args.algo == "oracle":
         payload = {"length": oracle.slcs_bruteforce(t1, t2, args.segments)}
     elif args.dump_tables:
-        run = seglcs.diagonal_run(t1, t2, args.segments, keep_tables=True)
+        levels = list(seglcs.diagonal_levels(t1, t2, args.segments))
+        longest = max(len(t1), len(t2))  # a value past it is an infinite cell
         tables = [
-            [h, i - s, s, value if value < run.infinity else "inf"]
-            for h, i, s, value in run.cells()
+            [h, diag, s, value if value <= longest else "inf"]
+            for h, (_, level) in enumerate(levels, start=1)
+            for diag, column in enumerate(level)
+            for s, value in enumerate(column[1:], start=1)
         ]
-        payload = {"length": run.max_v_idx[run.f], "tables": tables}
+        payload = {"length": levels[-1][0], "tables": tables}
         lines = [" ".join(map(str, row)) for row in tables]
     else:
         payload = {"length": seglcs.slcs_diagonal(t1, t2, args.segments)}

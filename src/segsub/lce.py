@@ -1,11 +1,11 @@
 """Longest-common-suffix-of-prefixes queries over two texts.
 
-``query(i, j)`` returns the largest x with t1[i-x+1..i] == t2[j-x+1..j]
-(1-based). ``LcsufIndex`` answers it in constant time from a suffix array,
-its LCP array (Kasai et al. 2001) and a sparse table of LCP range minima,
-built over the reversed texts joined by a separator outside the byte
-alphabet. ``lcsuf_matrix`` is the whole table, dense, which the tests check
-the index against.
+lcsuf(i, j) is the largest x with t1[i-x+1..i] == t2[j-x+1..j] (1-based).
+``LcsufIndex`` holds what answers it in constant time: a suffix array, its
+LCP array (Kasai et al. 2001) and a sparse table of LCP range minima, built
+over the reversed texts joined by a separator outside the byte alphabet.
+``lcsuf_matrix`` is the whole table, dense, which the tests check the index
+against.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ class LcsufIndex:
     mode = "suffix-array"  # the only backend; kept for callers that log it
 
     def __init__(self, t1: bytes | str, t2: bytes | str):
-        self.t1 = as_text(t1)
-        self.t2 = as_text(t2)
-        n1 = len(self.t1)
-        joined = list(self.t1[::-1]) + [_SEPARATOR] + list(self.t2[::-1])
+        t1, t2 = as_text(t1), as_text(t2)
+        n1 = len(t1)
+        joined = list(t1[::-1]) + [_SEPARATOR] + list(t2[::-1])
         sa, rank = _suffix_array(np.asarray(joined, dtype=np.int64))
         inv = rank.tolist()
         # reversed t1[1..i] starts at n1 - i, reversed t2[1..j] at
@@ -116,19 +115,3 @@ class LcsufIndex:
         self.rank1 = inv[n1::-1]
         self.rank2 = [inv[n1]] + inv[:n1:-1]
         self.levels = _sparse_levels(_lcp_array(joined, sa.tolist(), inv))
-
-    def query(self, i: int, j: int) -> int:
-        """lcsuf(t1[1..i], t2[1..j]); zero when either prefix is empty."""
-        n1, n2 = len(self.t1), len(self.t2)
-        if not 0 <= i <= n1:
-            raise IndexError(f"i must be in 0..{n1}, got {i}")
-        if not 0 <= j <= n2:
-            raise IndexError(f"j must be in 0..{n2}, got {j}")
-        if i == 0 or j == 0:
-            return 0
-        lo, hi = self.rank1[i], self.rank2[j]
-        if lo > hi:
-            lo, hi = hi, lo
-        k = (hi - lo).bit_length() - 1
-        level = self.levels[k]
-        return min(level[lo], level[hi - (1 << k)])

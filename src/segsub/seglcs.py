@@ -7,20 +7,23 @@ for the common-suffix term x + C(i-x, h-1, j-x), so a row costs four numpy
 calls over all its levels, with no lcsuf table. ``slcs_witness`` keeps every
 row and traces a witness back through them.
 
-``slcs_diagonal`` fills sparse shortest-prefix tables L(i, s, h) one
+``diagonal_levels`` fills sparse shortest-prefix tables L(i, s, h) one
 diagonal (i - s = const) at a time with a non-resetting scan pointer over
 the longer text, skipping whole diagonals that can no longer improve the
 answer; when the solution is long it touches only a sliver of each table.
-Three exact tests settle most of its lcsuf lookups, one of them a match
-carried along each grid diagonal, and the ``LcsufIndex`` is built only at
-the first lookup they leave, so similar texts often need no index at all.
+It is a generator: it yields each level with the answer at its budget and
+keeps only the level below the one it fills. ``slcs_diagonal`` drains it
+for the last answer; the CLI's table dump keeps every level. Three exact
+tests settle most of its lcsuf lookups, one of them a match carried along
+each grid diagonal, and the ``LcsufIndex`` is built only at the first
+lookup they leave, so similar texts often need no index at all.
 
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
 level equals it too. The baseline applies this row by row: level h+1 is
 filled only from the row after the first on which level h differs from
-level h-1. The diagonal solver applies it to whole levels: the deeper levels
-share the object of the level they repeat. The work counters count only
+level h-1. The diagonal solver applies it to whole levels: it yields the
+level it repeats for every deeper budget. The work counters count only
 filled levels.
 """
 
@@ -196,42 +199,20 @@ def slcs_witness(
     return length, seg, Embedding(seg, tuple(starts1)), Embedding(seg, tuple(starts2))
 
 
-@dataclass
-class DiagonalRun:
-    """Sparse per-h diagonal tables plus the best row index reached per h.
+def diagonal_levels(
+    t1: bytes | str, t2: bytes | str, f: int, stats: SolveStats | None = None
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """Yield (answer at budget h, level h) for h = 1..f, f clamped to the
+    shorter text; the shorter text drives the diagonals.
 
-    tables[h][diag] lists L(s+diag, s, h) for s = 0, 1, ...; a trailing
-    ``infinity`` entry records the cell whose scan exhausted the second text.
-    Levels dropped by the two-layer memory policy are None. Levels past the
-    fixed point share the list of the level they repeat.
-    """
-
-    tables: list[list[list[int]] | None]
-    max_v_idx: list[int]
-    infinity: int
-    f: int
-
-    def cells(self):
-        """Yield (h, i, s, value) for every stored cell with s >= 1."""
-        for h in range(1, len(self.tables)):
-            if self.tables[h] is None:
-                continue
-            for diag, column in enumerate(self.tables[h]):
-                for s in range(1, len(column)):
-                    yield h, s + diag, s, column[s]
-
-
-def diagonal_run(
-    t1: bytes | str,
-    t2: bytes | str,
-    f: int,
-    stats: SolveStats | None = None,
-    keep_tables: bool = False,
-) -> DiagonalRun:
-    """Run the diagonal algorithm; the shorter text drives the diagonals.
-
-    The ``LcsufIndex`` is built at the first lcsuf lookup that the loop's
-    exact tests leave, if any; ``stats.lcsuf_lookups`` counts those lookups.
+    Level h lists one column per diagonal it filled: column diag holds
+    L(s+diag, s, h) for s = 0, 1, ..., and a trailing entry past the longer
+    text, when present, marks the cell whose scan exhausted it. Only the
+    level below and the level being filled are held here, so a caller that
+    drops each yielded level keeps two. From the fixed point on, every
+    deeper budget yields the same answer and list. The counters of each
+    filled level go to ``stats``; ``lcsuf_lookups`` counts the lookups the
+    loop's exact tests leave, and the ``LcsufIndex`` is built at the first.
     """
     check_budget(f)
     t1, t2 = as_text(t1), as_text(t2)
@@ -245,16 +226,12 @@ def diagonal_run(
     # before[i - 1] is t1[i-1] (1-based) for i >= 2; its first byte is never read
     before = b"\0" + t1
 
-    tables: list[list[list[int]] | None] = [None] + [[] for _ in range(f)]
-    max_v = [0] * (f + 1)
-    visits = lookups = 0
+    below: list[list[int]] = []
     for h in range(1, f + 1):
-        if not keep_tables and h >= 3:
-            tables[h - 2] = None  # only levels h-1 and h stay resident
-        level = tables[h]
-        below = tables[h - 1] if h > 1 else []
+        level: list[list[int]] = []
+        best = visits = lookups = 0
         diag = 0
-        while diag < n1 - max_v[h]:
+        while diag < n1 - best:
             # the two columns a diagonal reads, L(h, diag-1, .) and
             # L(h-1, diag, .); [0] stands in for a column that does not
             # exist, and a read past a column's end is infinite
@@ -328,19 +305,19 @@ def diagonal_run(
             # each finite cell moved the pointer from j to its value + 1, so the
             # scan visited up to the last finite value, or all of t2 at an inf
             visits += min(column[-1], n2)
-            max_v[h] = max(max_v[h], len(column) - 1 - (column[-1] == inf))
+            best = max(best, len(column) - 1 - (column[-1] == inf))
             diag += 1
+        if stats is not None:
+            stats.cell_visits += visits
+            stats.lcsuf_lookups += lookups
         if h > 1 and level == below:
             # level h+1 would be computed from level h exactly as level h
             # was from level h-1, so every deeper level repeats level h
-            for deeper in range(h + 1, f + 1):
-                tables[deeper] = level
-                max_v[deeper] = max_v[h]
-            break
-    if stats is not None:
-        stats.cell_visits += visits
-        stats.lcsuf_lookups += lookups
-    return DiagonalRun(tables, max_v, inf, f)
+            for _ in range(h, f + 1):
+                yield best, level
+            return
+        yield best, level
+        below = level
 
 
 def slcs_diagonal(
@@ -350,5 +327,6 @@ def slcs_diagonal(
     stats: SolveStats | None = None,
 ) -> int:
     """Segmental LCS length via the sparse diagonal tables."""
-    run = diagonal_run(t1, t2, f, stats=stats)
-    return run.max_v_idx[run.f]
+    for answer, _ in diagonal_levels(t1, t2, f, stats):
+        pass
+    return answer

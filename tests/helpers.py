@@ -8,7 +8,13 @@ import numpy as np
 
 from segsub.core import as_text
 from segsub.harness import generate_instance
-from segsub.seglcs import SolveStats, _table_rows, slcs_baseline, slcs_diagonal
+from segsub.seglcs import (
+    SolveStats,
+    _table_rows,
+    diagonal_levels,
+    slcs_baseline,
+    slcs_diagonal,
+)
 
 
 def random_text(rng: random.Random, max_len: int, alphabet: int = 3) -> bytes:
@@ -186,6 +192,38 @@ def brute_lcsuf(t1: bytes, t2: bytes, i: int, j: int) -> int:
     while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
         x += 1
     return x
+
+
+def lcsuf_query(index, i: int, j: int) -> int:
+    """lcsuf(t1[1..i], t2[1..j]) read off an ``LcsufIndex``: the minimum of
+    the LCP array between the two prefixes' ranks; zero when either prefix
+    is empty."""
+    if i == 0 or j == 0:
+        return 0
+    lo, hi = sorted((index.rank1[i], index.rank2[j]))
+    k = (hi - lo).bit_length() - 1
+    return min(index.levels[k][lo], index.levels[k][hi - (1 << k)])
+
+
+def drain_diagonal(
+    t1: bytes, t2: bytes, f: int, stats: SolveStats | None = None
+) -> tuple[list[int], list[list[list[int]]]]:
+    """Every (answer, level) that ``diagonal_levels`` yields, kept: the
+    answers at budgets 1..f' and the levels, budget h at index h-1."""
+    answers, levels = [], []
+    for answer, level in diagonal_levels(t1, t2, f, stats):
+        answers.append(answer)
+        levels.append(level)
+    return answers, levels
+
+
+def diagonal_cells(levels: list[list[list[int]]]):
+    """Yield (h, i, s, value) for every stored cell with s >= 1 of the
+    levels ``drain_diagonal`` returns, level by level, diagonal by diagonal."""
+    for h, level in enumerate(levels, start=1):
+        for diag, column in enumerate(level):
+            for s in range(1, len(column)):
+                yield h, s + diag, s, column[s]
 
 
 def shortest_prefix_tables(t1: bytes, t2: bytes, f: int) -> list[list[list[int]]]:

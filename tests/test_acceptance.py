@@ -15,14 +15,17 @@ from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import min_segments_bruteforce
 from segsub.reduction import build_episode_reduction, check_reduction_equivalence
 from segsub.segmatch import min_segments, seg2_linear, sege
-from segsub.seglcs import diagonal_run, slcs_baseline, slcs_diagonal
+from segsub.seglcs import slcs_baseline, slcs_diagonal
 
 from helpers import (
     classic_lcs_len,
     compute_lpf,
     compute_lsf,
+    diagonal_cells,
+    drain_diagonal,
     first_ends_by_find,
     first_reach,
+    lcsuf_query,
     llpf_from_first_ends,
     random_text,
     seglcs_visit_counts,
@@ -72,11 +75,11 @@ def test_criterion_2_golden_tables_2_and_3():
         assert slcs_baseline(t1, t2, 3) == 5
         assert slcs_diagonal(t1, t2, 3) == 5
         assert [slcs_baseline(t1, t2, h) for h in (1, 2, 3)] == [3, 4, 5]
-        run = diagonal_run(t1, t2, 3, keep_tables=True)
-        assert run.max_v_idx[1:] == [3, 4, 5]
+        answers, levels = drain_diagonal(t1, t2, 3)
+        assert answers == [3, 4, 5]
         # sparse cells, infinity included, cell for cell
         for h, want in SPARSE_L.items():
-            assert [col[1:] for col in run.tables[h]] == want
+            assert [col[1:] for col in levels[h - 1]] == want
         # the full tables derived from the definition agree with the source
         full = shortest_prefix_tables(t1, t2, 3)
         inf = len(t2) + 1
@@ -147,27 +150,28 @@ def test_criterion_7_invariant_suite():
     with criterion("C7 invariant suite"):
         rng = random.Random(70)
 
-        def stored(run, h, i, s):
+        def stored(levels, inf, h, i, s):
             if s == 0:
                 return 0
             if h == 0 or i < s:
-                return run.infinity
-            level = run.tables[h]
+                return inf
+            level = levels[h - 1]
             diag = i - s
             if diag >= len(level):
-                return run.infinity
+                return inf
             column = level[diag]
-            return column[s] if s < len(column) else run.infinity
+            return column[s] if s < len(column) else inf
 
         # ordering inequalities on every computed diagonal cell
         for _ in range(150):
             t1, t2 = random_text(rng, 14), random_text(rng, 14)
             if len(t1) > len(t2):
                 t1, t2 = t2, t1
-            run = diagonal_run(t1, t2, rng.randint(1, 6), keep_tables=True)
-            for h, i, s, value in run.cells():
-                assert value <= stored(run, h, i - 1, s)
-                assert value > stored(run, h, i - 1, s - 1)
+            _, levels = drain_diagonal(t1, t2, rng.randint(1, 6))
+            inf = len(t2) + 1
+            for h, i, s, value in diagonal_cells(levels):
+                assert value <= stored(levels, inf, h, i - 1, s)
+                assert value > stored(levels, inf, h, i - 1, s - 1)
 
         # recurrence identity on exhaustively computed tables
         for _ in range(60):
@@ -186,7 +190,7 @@ def test_criterion_7_invariant_suite():
                     for s in range(1, n1 + 1):
                         j_best = inf
                         for j in range(1, n2 + 1):
-                            x = min(index.query(i, j), s)
+                            x = min(lcsuf_query(index, i, j), s)
                             if j >= full[h - 1][i - x][s - x] + x:
                                 j_best = j
                                 break
@@ -211,7 +215,7 @@ def test_criterion_7_invariant_suite():
             dense = lcsuf_matrix(t1, t2)
             for i in range(n1 + 1):
                 for j in range(n2 + 1):
-                    assert index.query(i, j) == dense[i, j]
+                    assert lcsuf_query(index, i, j) == dense[i, j]
 
 
 def test_criterion_8_complexity_trend():

@@ -322,12 +322,20 @@ EPISODE = ["reduce-episode", "--text", "0101", "--pattern", "00", "--bound", "3"
          [1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 3, "inf"],
          [2, 0, 1, 3], [2, 0, 2, 4], [2, 0, 3, "inf"],
          [2, 1, 1, 1], [2, 1, 2, 2], [2, 1, 3, 4]]}),
+    # an empty text fills one level with no diagonal
+    (["seglcs", "--t1", "", "--t2", "abc", "--segments", "2", "--dump-tables"],
+     None, 0, {"length": 0, "tables": []}),
+    # f is clamped to the shorter text, so two levels are dumped
+    (["seglcs", "--t1", "ab", "--t2", "ab", "--segments", "5", "--dump-tables"],
+     None, 0, {"length": 2, "tables": [
+         [1, 0, 1, 1], [1, 0, 2, 2], [2, 0, 1, 1], [2, 0, 2, 2]]}),
     (["seglcs", "--t1", "abcxdexf", "--t2", "abycdef", "--segments", "2",
       "--witness"], None, 0,
      {"length": 4, "witness": {"segments": ["ab", "de"], "starts1": [1, 5],
                                "starts2": [1, 5]}}),
 ], ids=["episode", "episode-verified", "episode-unverified", "gen",
-        "difftest-clean", "difftest-fault", "dump-tables", "witness"])
+        "difftest-clean", "difftest-fault", "dump-tables", "dump-tables-empty",
+        "dump-tables-clamped", "witness"])
 def test_json_payload(capsys, request, argv, fault, code, payload):
     if fault:
         request.getfixturevalue(fault)

@@ -15,9 +15,8 @@ from segsub.indseglcs import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import slcs_bruteforce
 from segsub.seglcs import (
-    DiagonalRun,
     SolveStats,
-    diagonal_run,
+    diagonal_levels,
     slcs_baseline,
     slcs_diagonal,
     slcs_witness,
@@ -29,6 +28,9 @@ from helpers import (
     chain_table,
     chain_table_reference,
     classic_lcs_len,
+    diagonal_cells,
+    drain_diagonal,
+    lcsuf_query,
     longest_common_substring_len,
     random_text,
     seglcs_visit_counts,
@@ -62,8 +64,8 @@ FULL_L = {
     ],
 }
 
-# sparse diagonal tables as actually computed, tables[h][diag] = values for
-# s = 1.. (the trailing infinity cell is stored too)
+# sparse diagonal tables as actually computed, level h's column diag holds
+# the values for s = 1.. (the trailing infinity cell is stored too)
 SPARSE_L = {
     1: [
         [8, INF],
@@ -216,8 +218,7 @@ def test_empty_texts_through_every_entry_point(t1, t2, f):
     length, seg, e1, e2 = slcs_witness(t1, t2, f)
     assert length == 0 and seg.segments == (b"",)
     assert verify_embedding(t1, e1) and verify_embedding(t2, e2)
-    run = diagonal_run(t1, t2, f, keep_tables=True)
-    assert run.tables == [None, []] and run.max_v_idx == [0, 0] and run.f == 1
+    assert drain_diagonal(t1, t2, f) == ([0], [[]])
     x = lcsuf_matrix(t1, t2)
     assert x.shape == (len(t1) + 1, len(t2) + 1) and not x.any()
     for family in ("count", "score"):
@@ -243,21 +244,32 @@ class TestDiagonal:
     def test_worked_example_answer(self):
         assert slcs_diagonal(T1, T2, 3) == 5
 
-    def test_per_budget_max_v_idx(self):
-        run = diagonal_run(T1, T2, 3, keep_tables=True)
-        assert run.max_v_idx[1:] == [3, 4, 5]
+    def test_per_budget_answers(self):
+        answers, _ = drain_diagonal(T1, T2, 3)
+        assert answers == [3, 4, 5]
 
     def test_sparse_tables_cell_for_cell(self):
-        run = diagonal_run(T1, T2, 3, keep_tables=True)
+        _, levels = drain_diagonal(T1, T2, 3)
         for h, want in SPARSE_L.items():
-            got = [col[1:] for col in run.tables[h]]
+            got = [col[1:] for col in levels[h - 1]]
             assert got == want, f"table {h}"
 
     def test_two_layer_retention(self):
-        run = diagonal_run(T1, T2, 3)
-        assert run.tables[1] is None
-        assert run.tables[2] is not None
-        assert run.tables[3] is not None
+        # a uniform pair whose answer grows at every budget, so no level
+        # repeats the one below: a length-only solve holds two levels at a
+        # time, while a caller that keeps every yielded level holds six
+        t1, t2 = generate_instance((300, 300), alphabet=4, seed=1)
+        peaks = []
+        for solve in (slcs_diagonal, lambda *args: list(diagonal_levels(*args))):
+            tracemalloc.start()
+            try:
+                result = solve(t1, t2, 6)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert [answer for answer, _ in result] == [7, 14, 20, 25, 30, 35]
+        assert peaks[0] <= 0.6 * peaks[1], peaks
 
     def test_swaps_longer_first_argument(self):
         assert slcs_diagonal(b"abycdef", b"abcxdexf", 2) == 4
@@ -288,17 +300,17 @@ class TestDiagonal:
 
 class TestDiagonalInvariants:
     @staticmethod
-    def _stored(run: DiagonalRun, h: int, i: int, s: int) -> int:
+    def _stored(levels: list, inf: int, h: int, i: int, s: int) -> int:
         if s == 0:
             return 0
         if h == 0 or i < s:
-            return run.infinity
-        level = run.tables[h]
+            return inf
+        level = levels[h - 1]
         diag = i - s
         if diag >= len(level):
-            return run.infinity
+            return inf
         column = level[diag]
-        return column[s] if s < len(column) else run.infinity
+        return column[s] if s < len(column) else inf
 
     def test_ordering_inequalities_on_computed_cells(self):
         rng = random.Random(16)
@@ -307,10 +319,11 @@ class TestDiagonalInvariants:
             if len(t1) > len(t2):
                 t1, t2 = t2, t1
             f = rng.randint(1, 5)
-            run = diagonal_run(t1, t2, f, keep_tables=True)
-            for h, i, s, value in run.cells():
-                assert value <= self._stored(run, h, i - 1, s)
-                assert value > self._stored(run, h, i - 1, s - 1)
+            _, levels = drain_diagonal(t1, t2, f)
+            inf = len(t2) + 1
+            for h, i, s, value in diagonal_cells(levels):
+                assert value <= self._stored(levels, inf, h, i - 1, s)
+                assert value > self._stored(levels, inf, h, i - 1, s - 1)
 
     def test_cells_equal_definition(self):
         rng = random.Random(17)
@@ -319,9 +332,9 @@ class TestDiagonalInvariants:
             if len(t1) > len(t2):
                 t1, t2 = t2, t1
             f = rng.randint(1, 4)
-            run = diagonal_run(t1, t2, f, keep_tables=True)
-            full = shortest_prefix_tables(t1, t2, run.f)
-            for h, i, s, value in run.cells():
+            _, levels = drain_diagonal(t1, t2, f)
+            full = shortest_prefix_tables(t1, t2, len(levels))
+            for h, i, s, value in diagonal_cells(levels):
                 assert value == full[h][i][s], (t1, t2, h, i, s)
 
     def test_recurrence_on_exhaustive_tables(self):
@@ -342,7 +355,7 @@ class TestDiagonalInvariants:
                     for s in range(1, n1 + 1):
                         j_best = inf
                         for j in range(1, n2 + 1):
-                            x = min(index.query(i, j), s)
+                            x = min(lcsuf_query(index, i, j), s)
                             prev = full[h - 1][i - x][s - x] if x <= s else inf
                             if j >= prev + x:
                                 j_best = j
@@ -465,12 +478,11 @@ def test_above_oracle_cap(kind, size):
         else:
             t1, t2 = _scattered_pair(rng, n, size)
             f = size + rng.randint(-1, 2)
-        run = diagonal_run(t1, t2, f)
-        assert run.f == f
-        assert run.max_v_idx[1:] == [slcs_baseline(t1, t2, h) for h in range(1, f + 1)]
-        assert diagonal_run(t2, t1, f).max_v_idx == run.max_v_idx
-        assert diagonal_run(t1[::-1], t2[::-1], f).max_v_idx == run.max_v_idx
-        assert_witness(t1, t2, f, run.max_v_idx[f])
+        answers, _ = drain_diagonal(t1, t2, f)
+        assert answers == [slcs_baseline(t1, t2, h) for h in range(1, f + 1)]
+        assert drain_diagonal(t2, t1, f)[0] == answers
+        assert drain_diagonal(t1[::-1], t2[::-1], f)[0] == answers
+        assert_witness(t1, t2, f, answers[-1])
 
 
 @pytest.mark.parametrize("kind, size", [("uniform", 2), ("uniform", 4), ("scattered", 3)])
@@ -485,13 +497,13 @@ def test_degenerate_budgets_above_oracle_cap(kind, size):
     else:
         t1, t2 = _scattered_pair(rng, n, size)
     saturated = min(len(t1), len(t2))
-    run = diagonal_run(t1, t2, saturated)
-    assert run.max_v_idx[-1] == classic_lcs_len(t1, t2)
-    assert run.max_v_idx[1] == longest_common_substring_len(t1, t2)
-    assert run.max_v_idx[1:] == sorted(run.max_v_idx[1:])
+    answers, _ = drain_diagonal(t1, t2, saturated)
+    assert answers[-1] == classic_lcs_len(t1, t2)
+    assert answers[0] == longest_common_substring_len(t1, t2)
+    assert answers == sorted(answers)
     base = [slcs_baseline(t1, t2, f) for f in range(1, 9)]
-    assert base == run.max_v_idx[1:9]
-    assert slcs_baseline(t1, t2, saturated) == run.max_v_idx[-1]
+    assert base == answers[:8]
+    assert slcs_baseline(t1, t2, saturated) == answers[-1]
     # the deeper layers alias the fixed-point level, and the traceback walks them
     assert_witness(t1, t2, saturated, classic_lcs_len(t1, t2))
 
@@ -525,13 +537,13 @@ class TestFixedPoint:
             if not short:
                 continue
             f = rng.randint(1, len(short) + 3)
-            run = diagonal_run(t1, t2, f, keep_tables=True)
-            assert len(run.tables) == run.f + 1
-            full = shortest_prefix_tables(short, long, run.f)
-            for h, i, s, value in run.cells():
+            answers, levels = drain_diagonal(t1, t2, f)
+            assert len(answers) == len(levels) == min(f, len(short))
+            full = shortest_prefix_tables(short, long, len(levels))
+            for h, i, s, value in diagonal_cells(levels):
                 assert value == full[h][i][s], (t1, t2, h, i, s)
-            for h in range(1, run.f + 1):
-                assert run.max_v_idx[h] == max(
+            for h in range(1, len(levels) + 1):
+                assert answers[h - 1] == max(
                     s for s in range(len(short) + 1) if full[h][len(short)][s] <= len(long)
                 ), (t1, t2, h)
 
@@ -556,8 +568,9 @@ class TestFixedPoint:
                 assert solver(t1, t2, f, stats=stats) == 298
                 visits[f] = stats.cell_visits
             assert visits[16] == visits[2], solver.__name__
-        run = diagonal_run(t1, t2, 16)
-        assert all(run.tables[h] is run.tables[2] for h in range(3, 17))
+        _, levels = drain_diagonal(t1, t2, 16)
+        assert len(levels) == 16
+        assert all(level is levels[1] for level in levels[2:])
 
     def test_visits_never_fall_with_budget(self):
         rng = random.Random(43)
@@ -642,51 +655,49 @@ class TestVisitCounters:
 
 
 def _assert_counters_match_tables(
-    run: DiagonalRun, stats: SolveStats, t1: bytes, t2: bytes
+    answers: list, levels: list, stats: SolveStats, t1: bytes, t2: bytes
 ) -> None:
-    """Read the counters off the filled levels of a ``keep_tables`` run: the
-    scan pointer ends each column at min(last value, n2), a level reaches its
-    longest run of finite cells, and the layer-major scan stays within
-    sum_h n2*(n1 - max_v_idx[h] + 1), with n1 <= n2."""
+    """Read the counters off the filled levels that ``drain_diagonal`` kept:
+    the scan pointer ends each column at min(last value, n2), a level's
+    answer is its longest run of finite cells, and the layer-major scan
+    stays within sum_h n2*(n1 - answer(h) + 1), with n1 <= n2."""
     n1, n2 = sorted((len(t1), len(t2)))
     visits = bound = 0
-    for h in range(1, run.f + 1):
-        if run.tables[h] is run.tables[h - 1]:
+    for h, (answer, columns) in enumerate(zip(answers, levels)):
+        if h and columns is levels[h - 1]:
             continue  # a level past the fixed point is not filled
-        columns = run.tables[h]
         visits += sum(min(column[-1], n2) for column in columns)
-        finite = [len(c) - 1 - (c[-1] == run.infinity) for c in columns]
-        assert run.max_v_idx[h] == max(finite, default=0), h
-        bound += n2 * (n1 - run.max_v_idx[h] + 1)
+        finite = [len(c) - 1 - (c[-1] == n2 + 1) for c in columns]
+        assert answer == max(finite, default=0), h + 1
+        bound += n2 * (n1 - answer + 1)
     assert stats.cell_visits == visits
     assert stats.cell_visits <= bound
 
 
 def test_diagonal_runs_match_shortest_prefix_tables():
     # every stored cell equals the table built from the definition, whichever
-    # of the solver's lcsuf lookup tests decided it, and a length-only run
-    # reaches the same answers with the same visits
+    # of the solver's lcsuf lookup tests decided it, and a length-only solve
+    # reaches the same answer with the same counters
     rng = random.Random(31)
     for _ in range(200):
         t1, t2 = random_text(rng, 12), random_text(rng, 12)
         f = rng.randint(1, 5)
         stats, lean_stats = SolveStats(), SolveStats()
-        run = diagonal_run(t1, t2, f, stats=stats, keep_tables=True)
-        lean = diagonal_run(t1, t2, f, stats=lean_stats)
-        assert lean.max_v_idx == run.max_v_idx, (t1, t2, f)
-        assert lean_stats.cell_visits == stats.cell_visits
-        _assert_counters_match_tables(run, stats, t1, t2)
+        answers, levels = drain_diagonal(t1, t2, f, stats)
+        assert slcs_diagonal(t1, t2, f, stats=lean_stats) == answers[-1], (t1, t2, f)
+        assert lean_stats == stats
+        _assert_counters_match_tables(answers, levels, stats, t1, t2)
         short, long = sorted((t1, t2), key=len)
         if short:
-            full = shortest_prefix_tables(short, long, run.f)
-            for h, i, s, value in run.cells():
+            full = shortest_prefix_tables(short, long, len(levels))
+            for h, i, s, value in diagonal_cells(levels):
                 assert value == full[h][i][s], (t1, t2, h, i, s)
 
 
 def test_near_copy_runs_match_shortest_prefix_tables():
     # near copies put long matches on the grid diagonals, where a match
     # carried from the previous cell decides most candidates: every stored
-    # cell still equals the definition, and a length-only run agrees
+    # cell still equals the definition, and a length-only solve agrees
     rng = random.Random(32)
     for _ in range(200):
         alphabet = rng.randint(2, 4)
@@ -694,13 +705,12 @@ def test_near_copy_runs_match_shortest_prefix_tables():
         t2 = _near_copy(rng, t1, min(len(t1), rng.randint(1, 3)), alphabet)
         f = rng.randint(1, 5)
         stats, lean_stats = SolveStats(), SolveStats()
-        run = diagonal_run(t1, t2, f, stats=stats, keep_tables=True)
-        lean = diagonal_run(t1, t2, f, stats=lean_stats)
-        assert lean.max_v_idx == run.max_v_idx, (t1, t2, f)
+        answers, levels = drain_diagonal(t1, t2, f, stats)
+        assert slcs_diagonal(t1, t2, f, stats=lean_stats) == answers[-1], (t1, t2, f)
         assert lean_stats == stats
-        _assert_counters_match_tables(run, stats, t1, t2)
-        full = shortest_prefix_tables(t1, t2, run.f)
-        for h, i, s, value in run.cells():
+        _assert_counters_match_tables(answers, levels, stats, t1, t2)
+        full = shortest_prefix_tables(t1, t2, len(levels))
+        for h, i, s, value in diagonal_cells(levels):
             assert value == full[h][i][s], (t1, t2, h, i, s)
 
 
@@ -768,9 +778,9 @@ def test_pinned_visit_counts(case):
 
 
 def test_dump_format():
-    run = diagonal_run(T1, T2, 3, keep_tables=True)
-    cells = [(h, i - s, s, value if value < run.infinity else "inf")
-             for h, i, s, value in run.cells()]
+    _, levels = drain_diagonal(T1, T2, 3)
+    cells = [(h, i - s, s, value if value < INF else "inf")
+             for h, i, s, value in diagonal_cells(levels)]
     assert cells[0] == (1, 0, 1, 8)
     assert cells[1] == (1, 0, 2, "inf")
     assert (3, 2, 5, 8) in cells
