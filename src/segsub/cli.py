@@ -63,12 +63,6 @@ def _cmd_minsege(args) -> Result:
 
 def _cmd_seglcs(args) -> Result:
     t1, t2 = _read_text_arg(args.t1), _read_text_arg(args.t2)
-    if args.dump_tables and args.algo != "diagonal":
-        raise ValueError("--dump-tables requires the diagonal algorithm")
-    if args.witness and args.dump_tables:
-        raise ValueError("--witness and --dump-tables cannot be combined")
-    if args.witness and args.algo == "oracle":
-        raise ValueError("--witness is not available with the oracle algorithm")
     lines = []
     if args.witness:
         length, seg, emb1, emb2 = seglcs.slcs_witness(t1, t2, args.segments)
@@ -101,10 +95,8 @@ def _cmd_seglcs(args) -> Result:
 
 
 def _cmd_indseglcs(args) -> Result:
-    force = None if args.force_family == "auto" else args.force_family
     length = indseglcs(
-        _read_text_arg(args.t1), _read_text_arg(args.t2),
-        args.f1, args.f2, force_family=force,
+        _read_text_arg(args.t1), _read_text_arg(args.t2), args.f1, args.f2
     )
     return {"length": length}, [str(length)], 0
 
@@ -125,7 +117,7 @@ def _cmd_reduce_episode(args) -> Result:
 
 def _cmd_gen(args) -> Result:
     texts = harness.generate_instance(
-        _parse_pair(args.lengths),
+        tuple(args.lengths),
         alphabet=args.alphabet, seed=args.seed, similarity=args.similarity,
     )
     return {"texts": [_latin(t) for t in texts]}, list(texts), 0
@@ -182,16 +174,6 @@ def _cmd_difftest(args) -> Result:
     return payload, lines, 0 if report.ok else 1
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-    if len(values) != 2:
-        raise ValueError(f"expected 2 comma-separated integers, got {text!r}")
-    return values[0], values[1]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -222,12 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
     p.add_argument("--segments", type=int, required=True)
-    p.add_argument("--algo", choices=("diagonal", "baseline", "oracle"),
-                   default="diagonal")
-    p.add_argument("--witness", action="store_true",
-                   help="also print segments and both embeddings (baseline)")
-    p.add_argument("--dump-tables", action="store_true",
-                   help="print the sparse diagonal tables")
+    mode = p.add_mutually_exclusive_group()
+    # difftest's REPLAY lines name the solver that failed through --algo
+    mode.add_argument("--algo", choices=("diagonal", "baseline", "oracle"))
+    mode.add_argument("--witness", action="store_true",
+                      help="also print segments and both embeddings (baseline)")
+    mode.add_argument("--dump-tables", action="store_true",
+                      help="print the sparse diagonal tables (diagonal)")
     p.set_defaults(func=_cmd_seglcs)
 
     p = sub.add_parser("indseglcs", parents=[common],
@@ -236,8 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True)
     p.add_argument("--f1", type=int, required=True)
     p.add_argument("--f2", type=int, required=True)
-    p.add_argument("--force-family", choices=("count", "score", "auto"),
-                   default="auto")
     p.set_defaults(func=_cmd_indseglcs)
 
     p = sub.add_parser("reduce-episode", parents=[common],
@@ -249,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce_episode)
 
     p = sub.add_parser("gen", parents=[common], help="generate a random instance")
-    p.add_argument("--lengths", required=True, help="comma-separated pair, e.g. 10,12")
+    p.add_argument("--lengths", nargs=2, type=int, required=True,
+                   metavar=("N1", "N2"))
     p.add_argument("--alphabet", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--similarity", type=int, default=None)

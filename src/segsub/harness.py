@@ -16,10 +16,12 @@ def generate_instance(
 ) -> tuple[bytes, bytes]:
     """Uniform random pair of texts, deterministic for a fixed seed.
 
-    With ``similarity`` = k the second text is the first with k symbol edits
-    confined to its tail, so every per-budget segmental LCS stays within k
-    of the text length. A one-symbol alphabet has no other symbol to write,
-    so there the second text is an unedited copy of the first.
+    With ``similarity`` = k the second text is the first with min(k, n)
+    symbol edits confined to its tail, so every per-budget segmental LCS
+    stays within k of the text length n; a k above n edits every symbol,
+    which the differential run relies on for its near copies of length 0
+    or 1 at k = 2. A one-symbol alphabet has no other symbol to write, so
+    there the second text is an unedited copy of the first.
     """
     if alphabet < 1 or alphabet > 256:
         raise ValueError(f"alphabet size must be in 1..256, got {alphabet}")

@@ -55,10 +55,19 @@ class SolveStats:
     lcsuf_lookups: int = 0
 
 
-def _clamp_budget(f: int, shorter: int) -> int:
+def _oriented(
+    t1: bytes | str, t2: bytes | str, f: int
+) -> tuple[bytes, bytes, int, bool]:
+    """Check the budget and return (shorter text, longer text, clamped f,
+    whether the texts were swapped)."""
+    check_budget(f)
+    t1, t2 = as_text(t1), as_text(t2)
+    swapped = len(t1) > len(t2)
+    if swapped:
+        t1, t2 = t2, t1
     # a shared segmentation never needs more segments than the common string
     # has characters, and that is capped by the shorter text
-    return max(1, min(f, shorter))
+    return t1, t2, max(1, min(f, len(t1))), swapped
 
 
 def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
@@ -128,12 +137,8 @@ def slcs_baseline(
     t1: bytes | str, t2: bytes | str, f: int, stats: SolveStats | None = None
 ) -> int:
     """Segmental LCS length via the prefix-table recurrence, two rows at a time."""
-    check_budget(f)
-    t1, t2 = as_text(t1), as_text(t2)
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
+    t1, t2, f, _ = _oriented(t1, t2, f)
     n1, n2 = len(t1), len(t2)
-    f = _clamp_budget(f, n1)
     check_allocation(_dense_bytes(n1, n2, f, 2), "the baseline's prefix rows")
     filled = 0
     for row in _table_rows(t1, t2, f):
@@ -151,13 +156,8 @@ def slcs_witness(
     Returns (length, segmentation, embedding into t1, embedding into t2);
     the empty segmentation when the texts share nothing.
     """
-    check_budget(f)
-    t1, t2 = as_text(t1), as_text(t2)
-    swapped = len(t1) > len(t2)
-    if swapped:
-        t1, t2 = t2, t1
+    t1, t2, f_used, swapped = _oriented(t1, t2, f)
     n1, n2 = len(t1), len(t2)
-    f_used = _clamp_budget(f, n1)
     check_allocation(_dense_bytes(n1, n2, f_used, n1 + 1), "the witness's prefix rows")
     rows = list(_table_rows(t1, t2, f_used))
 
@@ -214,12 +214,8 @@ def diagonal_levels(
     filled level go to ``stats``; ``lcsuf_lookups`` counts the lookups the
     loop's exact tests leave, and the ``LcsufIndex`` is built at the first.
     """
-    check_budget(f)
-    t1, t2 = as_text(t1), as_text(t2)
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
+    t1, t2, f, _ = _oriented(t1, t2, f)
     n1, n2 = len(t1), len(t2)
-    f = _clamp_budget(f, n1)
     inf = n2 + 1
     index = None  # on texts that differ by a few tail edits, never built
     find = t2.find

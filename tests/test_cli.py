@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import itertools
 import json
 import os
 import re
@@ -77,14 +78,6 @@ def test_json_flag_before_subcommand(capsys):
     assert json.loads(out) == {"answer": 2}
 
 
-def test_indseglcs_force_family(capsys):
-    for fam in ("count", "score", "auto"):
-        code, out, _ = run(capsys, "indseglcs", "--t1", "abcxdexf",
-                           "--t2", "abycdef", "--f1", "2", "--f2", "2",
-                           "--force-family", fam)
-        assert code == 0 and out == "5\n"
-
-
 def test_witness_output(capsys):
     code, out, _ = run(capsys, "seglcs", "--t1", "abcxdexf", "--t2", "abycdef",
                        "--segments", "2", "--witness")
@@ -106,22 +99,22 @@ def test_dump_tables(capsys):
     assert all(len(line.split()) == 4 for line in lines[1:])
 
 
-def test_dump_tables_requires_diagonal(capsys):
-    code, _, err = run(capsys, "seglcs", "--t1", "a", "--t2", "a",
-                       "--segments", "1", "--algo", "baseline", "--dump-tables")
-    assert code == 2 and "diagonal" in err
+SEGLCS_MODES = [["--algo", algo] for algo in ("diagonal", "baseline", "oracle")]
+SEGLCS_MODES += [["--witness"], ["--dump-tables"]]
 
 
-def test_witness_rejects_dump_tables(capsys):
-    code, out, err = run(capsys, "seglcs", "--t1", "abcab", "--t2", "abcb",
-                         "--segments", "2", "--witness", "--dump-tables")
-    assert code == 2 and out == "" and "--dump-tables" in err
-
-
-def test_witness_rejects_oracle(capsys):
-    code, out, err = run(capsys, "seglcs", "--t1", "abcab", "--t2", "abcb",
-                         "--segments", "2", "--witness", "--algo", "oracle")
-    assert code == 2 and out == "" and "oracle" in err
+@pytest.mark.parametrize("first, second", [
+    pytest.param(a, b, id="-".join(a + b).replace("--", ""))
+    for a, b in itertools.combinations(SEGLCS_MODES, 2) if a[0] != b[0]
+])
+def test_seglcs_modes_exclude_each_other(capsys, first, second):
+    # each accepted combination names one solver, so any two modes are refused
+    with pytest.raises(SystemExit) as exc:
+        main(["seglcs", "--t1", "abcab", "--t2", "abcb", "--segments", "2",
+              *first, *second])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert first[0] in err and second[0] in err
 
 
 def test_reduce_episode_bytes(capsysbinary):
@@ -163,10 +156,18 @@ def test_file_input_strips_one_line_end(tmp_path, capsys, content, length):
 
 
 def test_gen_deterministic(capsys):
-    code, first, _ = run(capsys, "gen", "--lengths", "6,6", "--seed", "11")
-    code2, second, _ = run(capsys, "gen", "--lengths", "6,6", "--seed", "11")
+    code, first, _ = run(capsys, "gen", "--lengths", "6", "6", "--seed", "11")
+    code2, second, _ = run(capsys, "gen", "--lengths", "6", "6", "--seed", "11")
     assert code == code2 == 0 and first == second
     assert len(first.splitlines()) == 2
+
+
+@pytest.mark.parametrize("lengths", [["6,6"], ["6"]], ids=["comma", "one"])
+def test_gen_lengths_takes_two_ints(capsys, lengths):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--lengths", *lengths, "--seed", "11"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--lengths" in err
 
 
 def test_difftest_clean(capsys):
@@ -241,8 +242,8 @@ def test_replay_texts_survive_the_shell():
         m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
         command = _replay_command(m).replace(
             "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
-        )
-        done = subprocess.run(["bash", "-c", command + " --witness --json"],
+        ).replace(" --algo baseline", " --witness")
+        done = subprocess.run(["bash", "-c", command + " --json"],
                               capture_output=True, env=env, timeout=60)
         assert done.returncode == 0, (text, done.stderr)
         witness = json.loads(done.stdout)["witness"]
@@ -305,7 +306,7 @@ EPISODE = ["reduce-episode", "--text", "0101", "--pattern", "00", "--bound", "3"
     (EPISODE, None, 0, REDUCED),
     (EPISODE + ["--verify"], None, 0, {**REDUCED, "verified": True}),
     (EPISODE + ["--verify"], "unverified", 1, {**REDUCED, "verified": False}),
-    (["gen", "--lengths", "6,6", "--seed", "11"], None, 0,
+    (["gen", "--lengths", "6", "6", "--seed", "11"], None, 0,
      {"texts": ["bcbbcc", "aacbcc"]}),
     (["difftest", "--count", "40", "--seed", "2"], None, 0,
      {"cases": 40, "checks": 220, "mismatches": []}),
