@@ -95,9 +95,12 @@ def differential_run(
 
     Each case checks the matching family; the heavier common-subsequence
     families alternate between cases. Every other seglcs case is a near copy
-    (equal lengths, up to two tail edits), the regime in which the diagonal
-    solver's exact tests settle most lcsuf lookups. Both seglcs solvers are
-    looked up on their module at each case, so a test can swap one out.
+    of equal length, the regime in which the diagonal solver's exact tests
+    settle most lcsuf lookups and its columns start with long leads: half of
+    them with up to two tail edits, half with up to two substitutions at
+    random positions, after which a column's scan resumes mid-diagonal.
+    Both seglcs solvers are looked up on their module at each case, so a
+    test can swap one out.
     """
     for name, value in (("count", count), ("max_len", max_len)):
         if value < 0:
@@ -135,13 +138,22 @@ def differential_run(
             n1 = rng.randint(0, max_len)
             if case % 4 == 0:
                 lengths, similarity = (n1, rng.randint(0, max_len)), None
-            else:
+            elif case % 8 == 2:
                 lengths, similarity = (n1, n1), rng.randint(0, 2)
-            texts = generate_instance(
+            else:  # scattered edits, made from this uniform pair below
+                lengths, similarity = (n1, n1), None
+            t1, t2 = generate_instance(
                 lengths, alphabet=alphabet, seed=case_seed + 1,
                 similarity=similarity,
             )
-            t1, t2 = texts
+            if case % 8 == 6:
+                # up to two of t1's symbols, at random positions, replaced
+                # by t2's symbols there (possibly the same ones)
+                edited = bytearray(t1)
+                for pos in rng.sample(range(n1), min(n1, rng.randint(0, 2))):
+                    edited[pos] = t2[pos]
+                t2 = bytes(edited)
+            texts = (t1, t2)
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
             expected = oracle.slcs_bruteforce(t1, t2, f)
             for name, solver in (("baseline", seglcs.slcs_baseline),

@@ -18,6 +18,15 @@ tests settle most of its lcsuf lookups, one of them a match carried along
 each grid diagonal, and the ``LcsufIndex`` is built only at the first
 lookup they leave, so similar texts often need no index at all.
 
+Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
+its lead, and the diagonal solver writes a column's lead in one slice and
+scans only the cells after it, like the snakes of Myers' O(ND) diff. Three
+bounds give the lead: the lead of the diagonal to the left on the same
+level (L never grows with i), that of the same diagonal one level down (L
+never grows with h) and, on level 1, the common prefix of the longer text
+and the diagonal, found by bisecting over slice comparisons. On texts that
+share long runs most cells lie in leads.
+
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
 level equals it too. The baseline applies this row by row: level h+1 is
@@ -45,10 +54,10 @@ class SolveStats:
 
     ``cell_visits`` counts the table cells a solver filled (for the baseline,
     each row's filled levels times the longer text's length; for the diagonal
-    solver, the scan positions it stepped over: per filled column, the scan
-    pointer's final position, min(last value, n2)); ``lcsuf_lookups`` counts
-    the lcsuf range minima the diagonal solver took, which no exact test
-    settled.
+    solver, the scan positions it stepped over, a column's lead included:
+    per filled column, the scan pointer's final position, min(last value,
+    n2)); ``lcsuf_lookups`` counts the lcsuf range minima the diagonal solver
+    took, which no exact test settled.
     """
 
     cell_visits: int = 0
@@ -203,7 +212,8 @@ def diagonal_levels(
     t1: bytes | str, t2: bytes | str, f: int, stats: SolveStats | None = None
 ) -> Iterator[tuple[int, list[list[int]]]]:
     """Yield (answer at budget h, level h) for h = 1..f, f clamped to the
-    shorter text; the shorter text drives the diagonals.
+    shorter text; the shorter text drives the diagonals. A bad budget is
+    refused here, before the first level is asked for.
 
     Level h lists one column per diagonal it filled: column diag holds
     L(s+diag, s, h) for s = 0, 1, ..., and a trailing entry past the longer
@@ -213,8 +223,21 @@ def diagonal_levels(
     deeper budget yields the same answer and list. The counters of each
     filled level go to ``stats``; ``lcsuf_lookups`` counts the lookups the
     loop's exact tests leave, and the ``LcsufIndex`` is built at the first.
+
+    A column's lead, its leading cells with L = s, is written in one slice
+    and the scan starts after it. The lead is at least the lead of the
+    column to its left (L never grows with i), the lead of the same
+    diagonal one level down (L never grows with h) and, on level 1, the
+    common prefix of t2 and the diagonal, up to the column's end.
     """
     t1, t2, f, _ = _oriented(t1, t2, f)
+    return _levels(t1, t2, f, stats)
+
+
+def _levels(
+    t1: bytes, t2: bytes, f: int, stats: SolveStats | None
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """The generator behind ``diagonal_levels``, on oriented texts."""
     n1, n2 = len(t1), len(t2)
     inf = n2 + 1
     index = None  # on texts that differ by a few tail edits, never built
@@ -223,10 +246,12 @@ def diagonal_levels(
     before = b"\0" + t1
 
     below: list[list[int]] = []
+    below_leads: list[int] = []
     for h in range(1, f + 1):
         level: list[list[int]] = []
+        leads: list[int] = []
         best = visits = lookups = 0
-        diag = 0
+        diag = lead = 0
         while diag < n1 - best:
             # the two columns a diagonal reads, L(h, diag-1, .) and
             # L(h-1, diag, .); [0] stands in for a column that does not
@@ -234,11 +259,33 @@ def diagonal_levels(
             left = level[diag - 1] if diag else [0]
             up = below[diag] if diag < len(below) else [0]
             n_left, n_up = len(left), len(up)
-            column = [0]
+            # L(h, i, s) >= s, and L = s on a prefix of the diagonal, its
+            # lead. It is at least the lead of the column to the left (L never
+            # grows with i), which ends before this column does, or the answer
+            # would have stopped the scan; at h > 1 the lead of this diagonal
+            # one level down (L never grows with h), which level h-1 filled;
+            # at h = 1 the common prefix of t2 and t1[diag:]
+            end = n1 - diag
+            if h > 1:
+                lead = max(lead, below_leads[diag])
+            elif t1[diag + lead] == t2[lead] and t1.startswith(t2[: lead + 1], diag):
+                lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if t1.startswith(t2[:mid], diag):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                lead = lo
+            column = list(range(lead + 1))
             level.append(column)
-            j = 1  # the scan pointer never moves back along a diagonal
-            matched = 0  # the match the previous cell was accepted at, if any
-            for s, a, b in zip(range(1, n1 - diag + 1), t1[diag:], before[diag:]):
+            j = lead + 1  # the scan pointer never moves back along a diagonal
+            # the match the previous cell was accepted at, if any; after a
+            # lead, 0 costs nothing: no carried match decides the next cell
+            matched = 0
+            for s, a, b in zip(
+                range(lead + 1, end + 1), t1[diag + lead :], before[diag + lead :]
+            ):
                 # L(h, i, s) with i = s + diag is the first j >= the pointer
                 # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
                 # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
@@ -298,6 +345,11 @@ def diagonal_levels(
                 if value == inf:
                     break  # deeper cells on this diagonal are infinite as well
                 j = value + 1
+            # the scan may have found further cells with L = s
+            last = len(column) - 1
+            while lead < last and column[lead + 1] == lead + 1:
+                lead += 1
+            leads.append(lead)
             # each finite cell moved the pointer from j to its value + 1, so the
             # scan visited up to the last finite value, or all of t2 at an inf
             visits += min(column[-1], n2)
@@ -313,7 +365,7 @@ def diagonal_levels(
                 yield best, level
             return
         yield best, level
-        below = level
+        below, below_leads = level, leads
 
 
 def slcs_diagonal(

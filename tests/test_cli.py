@@ -210,7 +210,8 @@ def test_difftest_fault_exit(capsys, text_off_by_one):
 def test_difftest_replay_reproduces_fault(capsys, text_off_by_one):
     code, out, _ = run(capsys, "difftest", "--count", "60", "--seed", "2")
     lines = out.splitlines()[1:]
-    assert code == 1 and len(lines) == 12
+    # eight of the run's seglcs cases catch the fault
+    assert code == 1 and len(lines) == 16
     for mismatch, replay in zip(lines[::2], lines[1::2]):
         assert mismatch.startswith("MISMATCH seglcs algo=diagonal ")
         expected, got = mismatch.split(" expected=")[1].split(" got=")

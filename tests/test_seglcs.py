@@ -714,6 +714,64 @@ def test_near_copy_runs_match_shortest_prefix_tables():
             assert value == full[h][i][s], (t1, t2, h, i, s)
 
 
+# A column's lead is its leading cells with L = s, written without a scan.
+# One pair per source of the lead, each setting it on diagonal 1 at level h:
+# (t1, t2, f, h, lead)
+LEAD_PAIRS = {
+    # level 1: t1[1:] is a prefix of t2, and diagonal 0 has no lead
+    "common-prefix": (b"zabcd", b"abcdy", 1, 1, 4),
+    # level 1: diagonal 0's lead "ab", and t1[1:] does not start with "a"
+    "left-column": (b"abcde", b"abxyz", 1, 1, 2),
+    # level 3: level 2's lead, which its scan found ("abcd" in two pieces of
+    # "abxcd"), while diagonal 0 has only "ab"
+    "level-below": (b"abxcd", b"abcdy", 3, 3, 4),
+}
+
+
+@pytest.mark.parametrize("case", LEAD_PAIRS)
+def test_leads_match_shortest_prefix_tables(case):
+    t1, t2, f, h, lead = LEAD_PAIRS[case]
+    answers, levels = drain_diagonal(t1, t2, f)
+    assert answers[-1] == slcs_baseline(t1, t2, f)
+    column = levels[h - 1][1]
+    assert column[: lead + 1] == list(range(lead + 1))
+    assert len(column) == lead + 1 or column[lead + 1] > lead + 1
+    full = shortest_prefix_tables(t1, t2, len(levels))
+    for hh, i, s, value in diagonal_cells(levels):
+        assert value == full[hh][i][s], (hh, i, s)
+
+
+def test_common_prefix_lead_spares_a_lookup():
+    # diagonal 1 of level 1 is t2 = "ab" against t1[1:] = "ab": a scan from
+    # s = 1 takes one lcsuf lookup at s = 2, and the lead leaves none
+    stats = SolveStats()
+    assert slcs_diagonal(b"aab", b"aba", 1, stats=stats) == 2
+    assert stats.lcsuf_lookups == 0
+
+
+def test_scattered_edits_resume_the_scan_after_the_lead():
+    # 1-3 substitutions at random positions end a column's lead mid-diagonal,
+    # and the scan takes over from there: every stored cell still equals the
+    # definition, and the answer equals the baseline's
+    rng = random.Random(33)
+    for _ in range(100):
+        alphabet = rng.randint(2, 4)
+        t1 = bytes(97 + rng.randrange(alphabet) for _ in range(rng.randint(4, 30)))
+        t2 = _near_copy(rng, t1, rng.randint(1, 3), alphabet)
+        f = rng.randint(1, 5)
+        answers, levels = drain_diagonal(t1, t2, f)
+        assert slcs_diagonal(t1, t2, f) == slcs_baseline(t1, t2, f) == answers[-1]
+        full = shortest_prefix_tables(t1, t2, len(levels))
+        for h, i, s, value in diagonal_cells(levels):
+            assert value == full[h][i][s], (t1, t2, h, i, s)
+
+
+def test_diagonal_levels_refuses_a_bad_budget_when_called():
+    # no next(): the budget is checked before the generator is returned
+    with pytest.raises(ValueError):
+        diagonal_levels(b"ab", b"ab", 0)
+
+
 TAIL_EDITS = generate_instance((2000, 2000), alphabet=8, seed=1, similarity=2)
 UNIFORM_150 = generate_instance((150, 150), alphabet=4, seed=1)
 
