@@ -142,7 +142,8 @@ def _replay_command(m: harness.Mismatch) -> str:
     elif m.kind == "sege":
         args = f"--text {a} --pattern {b} --segments {m.budgets[0]}"
     elif m.kind == "seglcs":
-        args = f"--t1 {a} --t2 {b} --segments {m.budgets[0]} --algo {m.algorithm}"
+        mode = "--witness" if m.algorithm == "witness" else f"--algo {m.algorithm}"
+        args = f"--t1 {a} --t2 {b} --segments {m.budgets[0]} {mode}"
     else:
         args = f"--t1 {a} --t2 {b} --f1 {m.budgets[0]} --f2 {m.budgets[1]}"
     return f"segsub {m.kind} {args}"

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import oracle, segmatch, seglcs
+from .core import verify_embedding
 from .indseglcs import indseglcs
 
 def generate_instance(
@@ -58,6 +59,20 @@ def generate_instance(
     return first, second
 
 
+def _witness_length(t1: bytes, t2: bytes, f: int) -> int | None:
+    """The length of ``seglcs.slcs_witness``'s witness, or None when the
+    witness is not a string of that length in at most f segments that
+    embeds into both texts."""
+    length, seg, e1, e2 = seglcs.slcs_witness(t1, t2, f)
+    valid = (
+        len(seg.pattern) == length
+        and seg.segment_count <= f
+        and verify_embedding(t1, e1)
+        and verify_embedding(t2, e2)
+    )
+    return length if valid else None
+
+
 @dataclass(frozen=True)
 class Mismatch:
     kind: str
@@ -99,8 +114,10 @@ def differential_run(
     settle most lcsuf lookups and its columns start with long leads: half of
     them with up to two tail edits, half with up to two substitutions at
     random positions, after which a column's scan resumes mid-diagonal.
-    Both seglcs solvers are looked up on their module at each case, so a
-    test can swap one out.
+    Each seglcs case also checks the witness: its length, and that it is a
+    common subsequence of both texts in at most f segments. Both seglcs
+    solvers and the witness are looked up on their module at each case, so
+    a test can swap one out.
     """
     for name, value in (("count", count), ("max_len", max_len)):
         if value < 0:
@@ -157,7 +174,8 @@ def differential_run(
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
             expected = oracle.slcs_bruteforce(t1, t2, f)
             for name, solver in (("baseline", seglcs.slcs_baseline),
-                                 ("diagonal", seglcs.slcs_diagonal)):
+                                 ("diagonal", seglcs.slcs_diagonal),
+                                 ("witness", _witness_length)):
                 record("seglcs", texts, (f,), name, expected, solver(t1, t2, f))
         else:
             texts = generate_instance(

@@ -5,7 +5,10 @@ row of the shorter text at a time with every level in the row, so it keeps
 two rows, O(f*n2) space. A match-run array carried with the row stands in
 for the common-suffix term x + C(i-x, h-1, j-x), so a row costs four numpy
 calls over all its levels, with no lcsuf table. ``slcs_witness`` keeps every
-row and traces a witness back through them.
+row at one bit per cell and traces a witness back through them: along j,
+adjacent cells of a row differ by 0 or 1, as in bit-vector LCS (Allison and
+Dix 1986; Hyyrö 2004), so a row's step bits hold it whole, and a cell is the
+popcount of the steps before it.
 
 ``diagonal_levels`` fills sparse shortest-prefix tables L(i, s, h) one
 diagonal (i - s = const) at a time with a non-resetting scan pointer over
@@ -132,14 +135,22 @@ def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
             top += 1
 
 
-def _dense_bytes(n_short: int, n_long: int, f: int, rows: int) -> int:
-    """Bytes that a dense solve keeping ``rows`` table rows allocates: each
-    row and the two Z buffers hold at most f+1 int32 levels over the longer
-    text, plus one bump per symbol of the shorter text and the mask of the
-    fixed-point test."""
+_BLOCK = 64  # rows of step bits that the witness packs at a time
+
+
+def _dense_bytes(n_short: int, n_long: int, f: int, kept: int) -> int:
+    """Bytes that a dense solve allocates when it keeps ``kept`` table rows
+    at one bit per cell. The fill holds two rows and two Z buffers of at
+    most f+1 int32 levels over the longer text, one bump per symbol of the
+    shorter text and the mask of the fixed-point test. The kept rows take
+    one packed bit per cell, filled through a block of up to ``_BLOCK`` rows
+    of one bool per cell and its packed copy."""
     width = n_long + 1
     symbols = min(n_short, 256)
-    return 4 * width * ((f + 1) * (rows + 2) + symbols) + width
+    fill = 4 * width * ((f + 1) * 4 + symbols) + width
+    block = min(_BLOCK, kept)
+    packed = (kept + block) * (f + 1) * ((n_long + 7) // 8)
+    return fill + packed + block * (f + 1) * n_long
 
 
 def slcs_baseline(
@@ -148,7 +159,7 @@ def slcs_baseline(
     """Segmental LCS length via the prefix-table recurrence, two rows at a time."""
     t1, t2, f, _ = _oriented(t1, t2, f)
     n1, n2 = len(t1), len(t2)
-    check_allocation(_dense_bytes(n1, n2, f, 2), "the baseline's prefix rows")
+    check_allocation(_dense_bytes(n1, n2, f, 0), "the baseline's prefix rows")
     filled = 0
     for row in _table_rows(t1, t2, f):
         filled += len(row) - 1
@@ -160,35 +171,65 @@ def slcs_baseline(
 def slcs_witness(
     t1: bytes | str, t2: bytes | str, f: int
 ) -> tuple[int, Segmentation, Embedding, Embedding]:
-    """A maximum-length witness via traceback over every row of the prefix table.
+    """A maximum-length witness via traceback over every row of the prefix
+    table, kept at one bit per cell.
+
+    Along j a row steps by 0 or 1, C(i, h, j) <= C(i, h, j-1) + 1, since
+    dropping the last symbol of a solution matched to t2[j] leaves at most
+    h segments. So each row is kept as its step bits, packed, and the
+    traceback tracks the value of its cell: a zero step moves left, and a
+    cell of another row is the popcount of that row's steps before it.
 
     Returns (length, segmentation, embedding into t1, embedding into t2);
     the empty segmentation when the texts share nothing.
     """
     t1, t2, f_used, swapped = _oriented(t1, t2, f)
     n1, n2 = len(t1), len(t2)
-    check_allocation(_dense_bytes(n1, n2, f_used, n1 + 1), "the witness's prefix rows")
-    rows = list(_table_rows(t1, t2, f_used))
+    check_allocation(_dense_bytes(n1, n2, f_used, n1 + 1), "the witness's step bits")
+    # bit j-1 of row i, level h is the step into column j, packed big-endian
+    width = (n2 + 7) // 8
+    store = np.zeros((n1 + 1, f_used + 1, width), dtype=np.uint8)
+    block = np.empty((min(_BLOCK, n1 + 1), f_used + 1, n2), dtype=bool)
+    tops: list[int] = []  # levels above a row's top are not kept: they equal it
+    for i, row in enumerate(_table_rows(t1, t2, f_used)):
+        top = len(row) - 1
+        k = i % _BLOCK
+        np.not_equal(row[:, 1:], row[:, :-1], out=block[k, : top + 1])
+        tops.append(top)
+        if k == _BLOCK - 1 or i == n1:
+            # rows of the block with a lower top pack stale levels, never read
+            store[i - k : i + 1, : top + 1] = np.packbits(
+                block[: k + 1, : top + 1], axis=-1
+            )
+    length = int(row[-1, -1])
+    bits = memoryview(store.reshape(-1))
+
+    def start(i: int, h: int) -> int:
+        """Where row i's bits of level h begin in ``bits``."""
+        return (i * (f_used + 1) + min(h, tops[i])) * width
 
     def cell(i: int, h: int, j: int) -> int:
-        row = rows[i]
-        return row[min(h, len(row) - 1), j]
+        """C(i, h, j): the steps before column j on row i, level h."""
+        at = start(i, h)
+        steps = int.from_bytes(bits[at : at + (j + 7) // 8], "big")
+        return (steps >> (-j % 8)).bit_count()  # less the bits from column j on
 
-    length = int(cell(n1, f_used, n2))
     segments: list[bytes] = []
     starts1: list[int] = []
     starts2: list[int] = []
-    i, j, h = n1, n2, f_used
-    while h > 0 and (value := cell(i, h, j)) > 0:
-        if j > 0 and cell(i, h, j - 1) == value:
+    # value is C(i, h, j), so while it is positive so are i and j
+    i, j, h, value = n1, n2, f_used, length
+    while h > 0 and value > 0:
+        if not bits[start(i, h) + (j - 1) // 8] >> (7 - (j - 1) % 8) & 1:
             j -= 1
-        elif i > 0 and cell(i - 1, h, j) == value:
+        elif cell(i - 1, h, j) == value:
             i -= 1
         else:
             x = 0  # lcsuf(i, j), walked back over the texts
             while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
                 x += 1
-            assert value == x + cell(i - x, h - 1, j - x)
+            value -= x
+            assert value == cell(i - x, h - 1, j - x)
             if x > 0:
                 segments.append(t1[i - x : i])
                 starts1.append(i - x + 1)

@@ -3,6 +3,7 @@
 import pytest
 
 from segsub import seglcs
+from segsub.core import Embedding
 from segsub.harness import differential_run, generate_instance
 from segsub.seglcs import slcs_baseline, slcs_diagonal
 
@@ -72,3 +73,17 @@ class TestDifferential:
         report = differential_run(200, max_len=9, seed=42)
         assert not report.ok
         assert all(m.algorithm == "diagonal" for m in report.mismatches)
+
+    def test_witness_that_does_not_embed_is_detected(self, monkeypatch):
+        # the witness's embedding into t2 starts one place late
+        witness = seglcs.slcs_witness
+
+        def shifted(t1, t2, f):
+            length, seg, e1, e2 = witness(t1, t2, f)
+            return length, seg, e1, Embedding(seg, tuple(s + 1 for s in e2.starts))
+
+        monkeypatch.setattr(seglcs, "slcs_witness", shifted)
+        report = differential_run(200, max_len=9, seed=42)
+        assert report.mismatches
+        for m in report.mismatches:
+            assert (m.kind, m.algorithm, m.got) == ("seglcs", "witness", None)

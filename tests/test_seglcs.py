@@ -206,6 +206,73 @@ def test_oversized_tables_refused_before_allocating():
     assert peak < 1 << 20
 
 
+def test_table_rows_step_by_zero_or_one():
+    # the witness keeps one bit per cell because every level of every row
+    # starts at 0 and steps by 0 or 1 along j: C(i, h, j) <= C(i, h, j-1) + 1
+    rng = random.Random(23)
+    for case in range(320):
+        alphabet = (1, 2, 4, 256)[case % 4]
+        t1 = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 40)))
+        if case % 8 < 4:  # a near copy: up to three substitutions
+            t2 = bytearray(t1)
+            for pos in rng.sample(range(len(t1)), min(len(t1), rng.randint(0, 3))):
+                t2[pos] = rng.randrange(alphabet)
+            t2 = bytes(t2)
+        else:
+            t2 = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 40)))
+        f = rng.randint(1, 10)
+        for a, b in ((t1, t2), (t2, t1)):
+            for row in seglcs_module._table_rows(a, b, f):
+                assert not row[:, 0].any(), (a, b, f)
+                steps = np.diff(row, axis=1)
+                assert ((steps == 0) | (steps == 1)).all(), (a, b, f)
+
+
+@pytest.mark.parametrize("n2", [0, 1, 7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("n1", [63, 64, 65, 128])
+def test_witness_across_byte_and_block_boundaries(n1, n2):
+    # rows run over the shorter text and pack 8 cells of the longer one to a
+    # byte, 64 rows to a block; unary texts step on every cell of the rows
+    rng = random.Random(f"{n1}-{n2}")
+    for alphabet in (1, 2):
+        t1 = bytes(97 + rng.randrange(alphabet) for _ in range(n1))
+        t2 = bytes(97 + rng.randrange(alphabet) for _ in range(n2))
+        for f in sorted({1, 3, max(1, n2)}):
+            for a, b in ((t1, t2), (t2, t1)):
+                assert_witness(a, b, f, slcs_baseline(a, b, f))
+
+
+def test_witness_peak_memory():
+    # one bit per table cell: about 0.5 MB on dissimilar's pair size
+    t1, t2 = generate_instance((600, 600), alphabet=4, seed=7)
+    tracemalloc.start()
+    try:
+        slcs_witness(t1, t2, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_witness_plans_one_bit_per_cell(monkeypatch):
+    # what the witness asks check_allocation for at n = 10,000, f = 16:
+    # about 240 MB at one bit per table cell
+    planned = {}
+
+    class Planned(Exception):
+        pass
+
+    def plan(nbytes, what):
+        planned[what] = nbytes
+        raise Planned
+
+    monkeypatch.setattr(seglcs_module, "check_allocation", plan)
+    t1, t2 = generate_instance((10_000, 10_000), alphabet=4, seed=8)
+    with pytest.raises(Planned):
+        slcs_witness(t1, t2, 16)
+    assert planned["the witness's step bits"] < 300 * 2**20
+
+
 @pytest.mark.parametrize("f", [1, 3])
 @pytest.mark.parametrize("t1, t2", [(b"", b"abc"), (b"abc", b""), (b"", b"")])
 def test_empty_texts_through_every_entry_point(t1, t2, f):
