@@ -22,13 +22,15 @@ each grid diagonal, and the ``LcsufIndex`` is built only at the first
 lookup they leave, so similar texts often need no index at all.
 
 Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
-its lead, and the diagonal solver writes a column's lead in one slice and
-scans only the cells after it, like the snakes of Myers' O(ND) diff. Three
-bounds give the lead: the lead of the diagonal to the left on the same
-level (L never grows with i), that of the same diagonal one level down (L
-never grows with h) and, on level 1, the common prefix of the longer text
-and the diagonal, found by bisecting over slice comparisons. On texts that
-share long runs most cells lie in leads.
+its lead, and the diagonal solver scans only the cells after it, like the
+snakes of Myers' O(ND) diff. Three bounds give the lead: the lead of the
+diagonal to the left on the same level (L never grows with i), that of the
+same diagonal one level down (L never grows with h) and, on level 1, the
+common prefix of the longer text and the diagonal, found by bisecting over
+slice comparisons. The lead is copied from the column whose lead bounds it,
+one slice of shared cells, and only a common prefix past the left lead
+makes new ones. On texts that share long runs most cells lie in leads, and
+a level at its fixed point shares most cells with the level below.
 
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
@@ -265,11 +267,12 @@ def diagonal_levels(
     filled level go to ``stats``; ``lcsuf_lookups`` counts the lookups the
     loop's exact tests leave, and the ``LcsufIndex`` is built at the first.
 
-    A column's lead, its leading cells with L = s, is written in one slice
-    and the scan starts after it. The lead is at least the lead of the
-    column to its left (L never grows with i), the lead of the same
-    diagonal one level down (L never grows with h) and, on level 1, the
-    common prefix of t2 and the diagonal, up to the column's end.
+    A column's lead, its leading cells with L = s, is copied from the
+    column whose lead bounds it, and the scan starts after it. The lead is
+    at least the lead of the column to its left (L never grows with i), the
+    lead of the same diagonal one level down (L never grows with h) and, on
+    level 1, the common prefix of t2 and the diagonal, up to the column's
+    end; only that prefix, past the left lead, makes new cells.
     """
     t1, t2, f, _ = _oriented(t1, t2, f)
     return _levels(t1, t2, f, stats)
@@ -305,10 +308,15 @@ def _levels(
             # grows with i), which ends before this column does, or the answer
             # would have stopped the scan; at h > 1 the lead of this diagonal
             # one level down (L never grows with h), which level h-1 filled;
-            # at h = 1 the common prefix of t2 and t1[diag:]
+            # at h = 1 the common prefix of t2 and t1[diag:]. Cells 0..prior
+            # of source are 0..prior, and the lead copies them, shared; only
+            # a common prefix past the left lead makes new cells
             end = n1 - diag
+            source, prior = left, lead
             if h > 1:
-                lead = max(lead, below_leads[diag])
+                if below_leads[diag] > lead:
+                    source = up
+                    lead = prior = below_leads[diag]
             elif t1[diag + lead] == t2[lead] and t1.startswith(t2[: lead + 1], diag):
                 lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
                 while lo < hi:
@@ -318,7 +326,8 @@ def _levels(
                     else:
                         hi = mid - 1
                 lead = lo
-            column = list(range(lead + 1))
+            column = source[: prior + 1]
+            column += range(prior + 1, lead + 1)
             level.append(column)
             j = lead + 1  # the scan pointer never moves back along a diagonal
             # the match the previous cell was accepted at, if any; after a

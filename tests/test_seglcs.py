@@ -187,13 +187,18 @@ def test_lcsuf_matrix_matches_definition():
 
 
 def test_oversized_tables_refused_before_allocating():
-    # two 10**6-symbol texts: the witness's int32 rows alone are about 20 TB
     t1, t2 = b"ab" * 500_000, b"ba" * 500_000
-    # the baseline keeps two rows, so its buffers grow linearly with the texts
     n = len(t1)
-    planned = seglcs_module._dense_bytes(n, n, 4, 2)
-    assert seglcs_module._dense_bytes(2 * n, 2 * n, 4, 2) < 2 * planned
-    assert planned < os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # the baseline keeps no rows, so its buffers grow linearly with the texts
+    planned = seglcs_module._dense_bytes(n, n, 4, 0)
+    assert seglcs_module._dense_bytes(2 * n, 2 * n, 4, 0) < 2 * planned
+    assert planned < physical
+    # the witness keeps all n + 1 rows at one bit per cell of its 5 levels:
+    # about 0.6 TB for two 10**6-symbol texts
+    witness = seglcs_module._dense_bytes(n, n, 4, n + 1)
+    assert n * n * 5 // 8 < witness < n * n
+    assert witness > physical
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="witness's .* GiB"):
@@ -806,6 +811,24 @@ def test_leads_match_shortest_prefix_tables(case):
     full = shortest_prefix_tables(t1, t2, len(levels))
     for hh, i, s, value in diagonal_cells(levels):
         assert value == full[hh][i][s], (hh, i, s)
+
+
+def test_leads_share_the_cells_of_the_column_that_bounds_them():
+    # a tail-edit near copy at n = 600, past the ints CPython caches (<= 256),
+    # so a lead built anew holds new int objects and a copied one the same
+    n = 600
+    t1, t2 = generate_instance((n, n), alphabet=8, seed=3, similarity=2)
+    answers, levels = drain_diagonal(t1, t2, 4)
+    assert answers[-1] == slcs_baseline(t1, t2, 4) == n - 2
+    lead = n - 2  # every column's: t1 and t2 share their first n - 2 symbols
+    for level in levels:
+        for column in level:
+            assert column[: lead + 1] == list(range(lead + 1))
+            assert len(column) == lead + 1 or column[lead + 1] != lead + 1
+    # level 2's lead on diagonal 0 is level 1's there, the column below it
+    assert all(a is b for a, b in zip(levels[1][0][: lead + 1], levels[0][0]))
+    # level 1's lead on diagonal 1 is diagonal 0's, the column to its left
+    assert all(a is b for a, b in zip(levels[0][1][: lead + 1], levels[0][0]))
 
 
 def test_common_prefix_lead_spares_a_lookup():
