@@ -15,6 +15,7 @@ from segsub.seglcs import (
     slcs_baseline,
     slcs_diagonal,
 )
+from segsub.segmatch import _cost_columns
 
 
 def random_text(rng: random.Random, max_len: int, alphabet: int = 3) -> bytes:
@@ -131,6 +132,18 @@ def cost_tables_reference(t: bytes, p: bytes) -> tuple[list, list]:
         D.append(d)
         E.append(e)
     return D, E
+
+
+def dp_min_segments(t: bytes | str, p: bytes | str) -> int | None:
+    """``min_segments`` read off the last column of the block-deletion DP
+    alone, so that it checks the bit-parallel pass rather than calling it:
+    one more than the cheapest deletion cost, or None when p is not a
+    subsequence of t."""
+    t, p = as_text(t), as_text(p)
+    for _, e in _cost_columns(t, p):
+        pass
+    best = int(e.min())
+    return best + 1 if best < len(t) + len(p) + 1 else None
 
 
 def greedy_subsequence(t: bytes, p: bytes) -> bool:

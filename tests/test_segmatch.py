@@ -1,4 +1,5 @@
-"""Tests for the matching dynamic program and the bit-parallel f <= 2 decision."""
+"""Tests for the matching dynamic program, the layered bit-parallel pass and
+the bit-parallel f <= 2 decision."""
 
 import itertools
 import random
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsub.oracle import min_segments_bruteforce
-from segsub.segmatch import _cost_columns, min_segments, seg2_linear, sege
+from segsub.segmatch import _cost_columns, _layers, min_segments, seg2_linear, sege
 
 from helpers import (
     compute_lpf,
     compute_lsf,
     cost_tables_reference,
+    dp_min_segments,
     first_ends_by_find,
     first_reach,
     llpf_from_first_ends,
@@ -32,8 +34,13 @@ patterns = st.binary(max_size=8).map(lambda b: bytes(97 + c % 3 for c in b))
 
 def dp_decides(t, p, f):
     """The budget-f decision read off the quadratic DP."""
-    needed = min_segments(t, p)
+    needed = dp_min_segments(t, p)
     return needed is not None and needed <= f
+
+
+def capped(needed, cap):
+    """What ``_layers`` at ``cap`` returns for the answer ``needed``."""
+    return needed if needed is not None and needed <= cap else None
 
 
 def split_decides(t, p):
@@ -202,12 +209,47 @@ class TestAboveOracleCap:
             needed = min_segments(t, p)
             assert needed is not None and needed <= pieces
 
+    @pytest.fixture(scope="class")
+    def straddling(self):
+        """Answers on both sides of min_segments' cap of 8 and sege's cap of
+        16: cut patterns drawn until the DP needs all their pieces, texts of
+        a's with 20 isolated b's, where b^k needs k pieces, and unary texts."""
+        rng = random.Random(16)
+        out = []
+        for answer in (7, 8, 9, 10, 16, 17):
+            while True:  # a cut pattern needs at most its pieces, most often all
+                n, alphabet = rng.randint(300, 2000), rng.randint(2, 4)
+                t = bytes(97 + rng.randrange(alphabet) for _ in range(n))
+                p = cut_pattern(rng, t, rng.randint(8 * answer, 12 * answer), answer)
+                if dp_min_segments(t, p) == answer:
+                    break
+            out.append((t, p, answer))
+            n = rng.randint(300, 2000)
+            unary = bytearray(b"a" * n)
+            for i in rng.sample(range(0, n, 2), 20):
+                unary[i] = ord("b")
+            out.append((bytes(unary), b"b" * answer, answer))
+        out.append((bytes(unary), b"b" * 21, None))  # more b's than the text has
+        out += [(b"a" * n, b"a" * n, 1), (b"a" * n, b"a" * (n + 1), None),
+                (b"a" * n, b"a" * (n // 2) + b"b", None)]
+        return out
+
     def test_sege_agrees_with_min_segments(self, instances):
         rng = random.Random(15)
         for t, p, _ in instances:
             for q in (p, random_text(rng, 30, alphabet=4)):
-                for f in (1, 2, 3):
+                assert min_segments(t, q) == dp_min_segments(t, q), q
+                for f in range(1, 18):
                     assert sege(t, q, f) == dp_decides(t, q, f), (f, q)
+
+    def test_answers_straddle_both_caps(self, straddling):
+        for t, p, answer in straddling:
+            assert dp_min_segments(t, p) == answer, (len(t), p)
+            assert min_segments(t, p) == answer, (len(t), p)
+            for f in range(1, 18):
+                assert sege(t, p, f) == dp_decides(t, p, f), (f, len(t), p)
+            for cap in range(2, 17):
+                assert _layers(t, p, cap) == capped(answer, cap), (cap, len(t), p)
 
     def test_longer_pattern_never_embeds(self, instances):
         for t, _, _ in instances:
@@ -229,6 +271,30 @@ class TestTablesDump:
         p = bytes(c for c in t if rng.random() < 0.6)  # a subsequence of t
         D, E = cost_tables(t, p)
         assert min(row[len(p)] for row in E) + 1 == min_segments(t, p)
+
+
+class TestLayers:
+    def test_table1_instance(self):
+        assert _layers(T1, P1, 8) == 2
+        assert _layers(T1, P1, 2) == 2
+        assert _layers(T1, P1, 1) is None
+
+    def test_stops_once_the_top_layer_dies(self):
+        # a^k on (ab)^7 needs k pieces, one per isolated a
+        t = b"ab" * 7
+        for k in range(9):
+            for cap in range(1, 8):
+                assert _layers(t, b"a" * k, cap) == capped(max(k, 1), cap), (k, cap)
+            assert _layers(t, b"a" * k + b"c", 7) is None
+
+    def test_exhaustive_binary_against_oracle(self):
+        for n in range(9):
+            for t in map(bytes, itertools.product(b"ab", repeat=n)):
+                for m in range(6):
+                    for p in map(bytes, itertools.product(b"ab", repeat=m)):
+                        needed = min_segments_bruteforce(t, p)
+                        for cap in range(1, 8):
+                            assert _layers(t, p, cap) == capped(needed, cap), (t, p, cap)
 
 
 class TestSeg2Linear:
@@ -347,6 +413,13 @@ class TestBitBoundaries:
             assert seg2_linear(t.decode("latin-1"), p.decode("latin-1")) == answer
             seen.add((len(p) > n, answer))
         assert {(False, True), (True, False)} <= seen
+
+    def test_layers_at_every_cap_agree_with_dp(self, n):
+        for t, p in boundary_cases(n):
+            needed = dp_min_segments(t, p)
+            assert min_segments(t, p) == needed, (t, p)
+            for cap in range(2, 17):
+                assert _layers(t, p, cap) == capped(needed, cap), (t, p, cap)
 
 
 class TestSege:
