@@ -115,9 +115,12 @@ def differential_run(
     them with up to two tail edits, half with up to two substitutions at
     random positions, after which a column's scan resumes mid-diagonal.
     Each seglcs case also checks the witness: its length, and that it is a
-    common subsequence of both texts in at most f segments. Both seglcs
-    solvers and the witness are looked up on their module at each case, so
-    a test can swap one out.
+    common subsequence of both texts in at most f segments. Half of the
+    indseglcs cases, chosen by the case seed, are equal-length near copies
+    with up to three substitutions at random positions, where the slcs bound
+    often falls just short of the LCS and the table band is narrowest.
+    Both seglcs solvers and the witness are looked up on their module at
+    each case, so a test can swap one out.
     """
     for name, value in (("count", count), ("max_len", max_len)):
         if value < 0:
@@ -178,14 +181,24 @@ def differential_run(
                                  ("witness", _witness_length)):
                 record("seglcs", texts, (f,), name, expected, solver(t1, t2, f))
         else:
-            texts = generate_instance(
-                (rng.randint(0, max_len), rng.randint(0, max_len)),
-                alphabet=alphabet,
-                seed=case_seed + 2,
+            n1, n2 = rng.randint(0, max_len), rng.randint(0, max_len)
+            near = case_seed % 2  # not drawn from rng: other cases stay the same
+            t1, t2 = generate_instance(
+                (n1, n1 if near else n2), alphabet=alphabet, seed=case_seed + 2
             )
-            t1, t2 = texts
-            f1 = rng.randint(1, max(1, len(t1) // 2 + 2))
-            f2 = rng.randint(1, max(1, len(t2) // 2 + 2))
+            if near:
+                # up to three of t1's symbols, at positions drawn from the
+                # case seed, replaced by t2's symbols there
+                local = random.Random(case_seed)
+                edited = bytearray(t1)
+                for pos in local.sample(range(n1), min(n1, local.randint(0, 3))):
+                    edited[pos] = t2[pos]
+                t2 = bytes(edited)
+            texts = (t1, t2)
+            # the budgets' ranges come from the drawn lengths, so that the
+            # draws from rng are the same for a near copy
+            f1 = rng.randint(1, max(1, n1 // 2 + 2))
+            f2 = rng.randint(1, max(1, n2 // 2 + 2))
             expected = oracle.indseglcs_bruteforce(t1, t2, f1, f2)
             record(
                 "indseglcs", texts, (f1, f2), "tables",

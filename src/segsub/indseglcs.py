@@ -10,23 +10,40 @@ symbol, the side-2 symbol, p1 and p2, -inf where a state is empty. A text's
 new symbol left unused applies that side's ``phi`` to the upper (side 1) or
 left (side 2) neighbour; a symbol used in both texts, where t1[i1-1] ==
 t2[i2-1], applies both sides' ``psi`` to the diagonal neighbour and adds one.
-So anti-diagonal d = i1 + i2 depends only on d - 1 and d - 2, and
-``indseglcs`` fills it whole with a fixed number of numpy calls. The answer
-is symmetric, so the shorter text is taken as t1 and indexes the rows: cell
-(i1, d - i1) sits at row i1 of each diagonal buffer. It keeps three
-diagonals plus two scratch ones, each (n1 + 1) * 4 * (g1 + 1) * (g2 + 1)
-float32 values (exact for every length below 2**24). A solve whose buffers
-would exceed physical memory raises ``ResourceLimitError`` before allocating.
+So anti-diagonal d = i1 + i2 depends only on d - 1 and d - 2, and the
+tables are filled one diagonal at a time with a fixed number of numpy calls.
+The answer is symmetric, so the shorter text is taken as t1 and indexes the
+rows: cell (i1, d - i1) sits at row i1 of each diagonal buffer. The fill
+keeps three diagonals plus two scratch ones, each (n1 + 1) * 4 * (g1 + 1) *
+(g2 + 1) float32 values (exact for every length below 2**24).
+
+``indseglcs`` first sizes those buffers: a solve whose buffers would exceed
+physical memory raises ``ResourceLimitError`` before allocating anything,
+whatever the bounds below would give. Then two bounds hold the answer:
+slcs(min(f1, f2)) <= indseglcs(f1, f2) <= LCS(t1, t2), since one shared
+segmentation fits both budgets and any common string is a common
+subsequence. The classic LCS is bit-parallel over t1 (Hyyro 2004), and it
+is the answer outright when both budgets are saturated (g1 = g2 = 0). The
+lower bound, ``slcs_baseline`` at f = min(f1, f2) clamped, fills f*n1*n2
+cells; it runs only when f <= 4 * (g1 + 1) * (g2 + 1), so that it never
+costs more than the tables' 4 * n1 * n2 * (g1 + 1) * (g2 + 1). When it
+reaches the LCS, no table is filled. Otherwise the fill is banded after
+Ukkonen (1985): an answer of at least ell embeds along a path on which
+-(n2 - ell) <= i1 - i2 <= n1 - ell, because the matches still to come must
+fit in the rest of both texts. Each diagonal fills only its rows in that
+band, and the one row past either end that the next two diagonals read is
+set to -inf, so every cell read holds its exact value or -inf. With ell = 0
+the band is the whole table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_text, check_allocation, check_budget
+from .seglcs import slcs_baseline
 
 NEG_INF = float("-inf")
 
@@ -117,6 +134,21 @@ def _empty_states(cfg: SideConfig) -> np.ndarray:
     return q
 
 
+def _lcs_length(t1: bytes, t2: bytes) -> int:
+    """Classic LCS length, bit-parallel over t1 (Hyyro 2004, after Allison and
+    Dix 1986): bit i of v is clear where the LCS of t1[:i+1] with the prefix
+    of t2 read so far steps up."""
+    masks: dict[int, int] = {}
+    for i, c in enumerate(t1):
+        masks[c] = masks.get(c, 0) | 1 << i
+    full = (1 << len(t1)) - 1
+    v = full
+    for c in t2:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(t1) - v.bit_count()
+
+
 def indseglcs(
     t1: bytes | str,
     t2: bytes | str,
@@ -131,17 +163,36 @@ def indseglcs(
     n1, n2 = len(t1), len(t2)
     cfg1 = side_config(n1, f1, force_family)
     cfg2 = side_config(n2, f2, force_family)
-    phi1, psi1 = _OPERATORS[cfg1.family]
-    phi2, psi2 = _OPERATORS[cfg2.family]
-    shape = (n1 + 1, 2, 2, cfg1.g + 1, cfg2.g + 1)
+    planes = (cfg1.g + 1) * (cfg2.g + 1)
     check_allocation(  # five diagonals and two empty-state arrays, float32
-        4 * (5 * math.prod(shape) + 2 * (n1 + 1) * (cfg1.g + 1)
+        4 * (5 * (n1 + 1) * 4 * planes + 2 * (n1 + 1) * (cfg1.g + 1)
              + 2 * (n2 + 1) * (cfg2.g + 1)),
         "the indseglcs diagonals",
     )
+    upper = _lcs_length(t1, t2)
+    if cfg1.g == cfg2.g == 0:
+        return upper  # both budgets saturated
+    ell = 0
+    f = min(cfg1.f, cfg2.f)
+    if f <= 4 * planes:  # the bound's f*n1*n2 cells cost at most the tables'
+        ell = slcs_baseline(t1, t2, f)
+        if ell == upper:
+            return ell
+    return _fill(t1, t2, cfg1, cfg2, ell)
+
+
+def _fill(
+    t1: bytes, t2: bytes, cfg1: SideConfig, cfg2: SideConfig, ell: int
+) -> int:
+    """The answer from the tables, t1 no longer than t2, filled only in the
+    band that an answer of at least ``ell`` passes through."""
+    n1, n2 = len(t1), len(t2)
+    phi1, psi1 = _OPERATORS[cfg1.family]
+    phi2, psi2 = _OPERATORS[cfg2.family]
     # three diagonals in rotation and two scratch ones; the transposed views
     # put side 2's axes where the operators expect their own side's
-    *rotation, step, pair = np.empty((5, *shape), np.float32)
+    *rotation, step, pair = np.empty((5, n1 + 1, 2, 2, cfg1.g + 1, cfg2.g + 1),
+                                     np.float32)
     diags = [(b, b.transpose(0, 2, 1, 4, 3)) for b in rotation]
     pair2 = pair.transpose(0, 2, 1, 4, 3)
     q1 = _empty_states(cfg1)[:, :, None, :, None]
@@ -157,7 +208,15 @@ def indseglcs(
             np.minimum(q1[0], q2[d], out=cur[0])  # cell (0, d)
         if d <= n1:
             np.minimum(q1[d], q2[0], out=cur[d])  # cell (d, 0)
-        a, b = max(1, d - n2), min(d - 1, n1)  # inner cells, both prefixes nonempty
+        lo, hi = max(1, d - n2), min(d - 1, n1)  # inner cells, both prefixes nonempty
+        # the band -(n2 - ell) <= i1 - i2 <= n1 - ell
+        a = max(lo, (d - n2 + ell + 1) // 2)
+        b = min(hi, (d + n1 - ell) // 2)
+        # the next two diagonals read one row past either end of the band
+        if lo < a:
+            cur[a - 1] = NEG_INF
+        if b < hi:
+            cur[b + 1] = NEG_INF
         if a > b:
             continue
         out, s = cur[a:b + 1], step[a:b + 1]

@@ -1,14 +1,22 @@
 """Tests for the independent-budget solver and the score machinery."""
 
+import importlib
 import random
 import tracemalloc
 
 import pytest
 
 from segsub.core import ResourceLimitError
-from segsub.indseglcs import indseglcs, segmentation_score, side_config
+from segsub.harness import generate_instance
+from segsub.indseglcs import (
+    _fill,
+    _lcs_length,
+    indseglcs,
+    segmentation_score,
+    side_config,
+)
 from segsub.oracle import indseglcs_bruteforce, slcs_bruteforce
-from segsub.seglcs import slcs_diagonal
+from segsub.seglcs import slcs_baseline, slcs_diagonal
 from segsub.segmatch import min_segments
 
 from helpers import (
@@ -18,6 +26,9 @@ from helpers import (
     indseglcs_cellwise,
     random_text,
 )
+
+# the package's ``indseglcs`` attribute is the function, not this module
+MODULE = importlib.import_module("segsub.indseglcs")
 
 # (t1, t2, f1, f2, force_family, answer) above the brute-force oracle's length
 # cap, recorded with an earlier cell-by-cell implementation of the same tables.
@@ -256,6 +267,101 @@ class TestSolver:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _near_copy(rng, n, k):
+    """A text of n symbols over k and a copy with up to three substitutions."""
+    t1 = bytes(97 + rng.randrange(k) for _ in range(n))
+    t2 = bytearray(t1)
+    for pos in rng.sample(range(n), min(n, rng.randint(0, 3))):
+        t2[pos] = 97 + rng.randrange(k)
+    return t1, bytes(t2)
+
+
+def _fills(t1, t2, f1, f2, family=None):
+    """``_fill``'s answers at the lower bounds 0, the slcs bound and the
+    answer itself, with t1 the shorter text as ``indseglcs`` passes it."""
+    if len(t1) > len(t2):
+        t1, t2, f1, f2 = t2, t1, f2, f1
+    cfg1 = side_config(len(t1), f1, family)
+    cfg2 = side_config(len(t2), f2, family)
+    answer = _fill(t1, t2, cfg1, cfg2, 0)
+    bound = slcs_baseline(t1, t2, min(cfg1.f, cfg2.f))
+    assert bound <= answer <= _lcs_length(t1, t2)
+    return [answer, _fill(t1, t2, cfg1, cfg2, bound),
+            _fill(t1, t2, cfg1, cfg2, answer)]
+
+
+class TestBoundsAndBand:
+    def test_lcs_helper_matches_textbook_lcs(self):
+        rng = random.Random(41)
+        for k in (1, 2, 256):
+            for _ in range(60):
+                t1 = bytes(rng.randrange(k) for _ in range(rng.randint(0, 40)))
+                t2 = bytes(rng.randrange(k) for _ in range(rng.randint(0, 40)))
+                assert _lcs_length(t1, t2) == classic_lcs_len(t1, t2), (t1, t2)
+
+    def test_band_fill_exact_above_oracle_cap(self):
+        # near copies and identical texts put the band at one or a few grid
+        # diagonals, where every other anti-diagonal has no row inside it
+        rng = random.Random(42)
+        t = bytes(97 + rng.randrange(3) for _ in range(27))
+        for f in (1, 2, 5, 14):
+            assert _fills(t, t, f, f) == [27, 27, 27]
+        for case in range(36):
+            n = rng.randint(16, 60)
+            k = rng.choice((1, 2, 4, 8))
+            if case % 3 == 0:
+                t1 = t2 = bytes(97 + rng.randrange(k) for _ in range(n))
+            elif case % 3 == 1:
+                t1, t2 = _near_copy(rng, n, k)
+            else:
+                t1 = bytes(97 + rng.randrange(k) for _ in range(n))
+                t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(16, 60)))
+            f1, f2 = rng.randint(1, n // 3), rng.randint(1, n // 3)
+            family = rng.choice((None, "count", "score"))
+            answers = _fills(t1, t2, f1, f2, family)
+            assert answers == [answers[0]] * 3, (t1, t2, f1, f2, family)
+            assert indseglcs(t1, t2, f1, f2, family) == answers[0]
+
+    def test_band_fill_matches_bruteforce_at_oracle_cap(self):
+        rng = random.Random(43)
+        for case in range(16):
+            k = rng.choice((1, 2, 3))
+            if case % 2:
+                t1, t2 = _near_copy(rng, 14, k)
+            else:
+                t1 = bytes(97 + rng.randrange(k) for _ in range(14))
+                t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(10, 14)))
+            f1, f2 = rng.randint(1, 5), rng.randint(1, 5)
+            want = indseglcs_bruteforce(t1, t2, f1, f2)
+            assert _fills(t1, t2, f1, f2) == [want] * 3, (t1, t2, f1, f2)
+
+    def test_near_copy_needs_no_tables(self):
+        # the slcs bound reaches the LCS, so the five diagonals, about 21 MB
+        # at n = 160 and g = 40, are never allocated
+        t1, t2 = generate_instance((160, 160), alphabet=4, seed=1, similarity=2)
+        tracemalloc.start()
+        try:
+            answer = indseglcs(t1, t2, 40, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer == 158
+        assert peak < 2 << 20
+
+    def test_saturated_budgets_return_classic_lcs_without_tables(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("saturated budgets need neither bound nor tables")
+
+        monkeypatch.setattr(MODULE, "slcs_baseline", refuse)
+        monkeypatch.setattr(MODULE, "_fill", refuse)
+        rng = random.Random(44)
+        for _ in range(40):
+            t1, t2 = random_text(rng, 30), random_text(rng, 30)
+            f1 = max(1, (len(t1) + 1) // 2)
+            f2 = max(1, (len(t2) + 1) // 2) + rng.randint(0, 3)
+            assert indseglcs(t1, t2, f1, f2) == classic_lcs_len(t1, t2)
 
 
 def test_metamorphic_properties():
