@@ -8,7 +8,7 @@ from .core import (
     check_budget,
     verify_embedding,
 )
-from .indseglcs import indseglcs, segmentation_score, side_config
+from .independent import indseglcs, segmentation_score, side_config
 from .lce import LcsufIndex
 from .oracle import (
     OracleLimitError,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import harness, oracle, reduction, segmatch, seglcs
 from .core import ResourceLimitError
-from .indseglcs import indseglcs
+from .independent import indseglcs
 from .oracle import OracleLimitError
 
 USAGE_EXIT = 2

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from . import oracle, segmatch, seglcs
 from .core import verify_embedding
-from .indseglcs import indseglcs
+from .independent import indseglcs
 
 def generate_instance(
     lengths: tuple[int, int],
@@ -100,6 +100,16 @@ class DifferentialReport:
         )
 
 
+def _substituted(rng: random.Random, t1: bytes, t2: bytes, k: int) -> bytes:
+    """t1 with up to k of its symbols, at positions drawn from ``rng``,
+    replaced by t2's symbols there (possibly the same ones); t2 is at least
+    as long as t1."""
+    edited = bytearray(t1)
+    for pos in rng.sample(range(len(t1)), min(len(t1), rng.randint(0, k))):
+        edited[pos] = t2[pos]
+    return bytes(edited)
+
+
 def differential_run(
     count: int,
     max_len: int = 10,
@@ -167,12 +177,7 @@ def differential_run(
                 similarity=similarity,
             )
             if case % 8 == 6:
-                # up to two of t1's symbols, at random positions, replaced
-                # by t2's symbols there (possibly the same ones)
-                edited = bytearray(t1)
-                for pos in rng.sample(range(n1), min(n1, rng.randint(0, 2))):
-                    edited[pos] = t2[pos]
-                t2 = bytes(edited)
+                t2 = _substituted(rng, t1, t2, 2)
             texts = (t1, t2)
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
             expected = oracle.slcs_bruteforce(t1, t2, f)
@@ -186,14 +191,8 @@ def differential_run(
             t1, t2 = generate_instance(
                 (n1, n1 if near else n2), alphabet=alphabet, seed=case_seed + 2
             )
-            if near:
-                # up to three of t1's symbols, at positions drawn from the
-                # case seed, replaced by t2's symbols there
-                local = random.Random(case_seed)
-                edited = bytearray(t1)
-                for pos in local.sample(range(n1), min(n1, local.randint(0, 3))):
-                    edited[pos] = t2[pos]
-                t2 = bytes(edited)
+            if near:  # positions drawn from the case seed
+                t2 = _substituted(random.Random(case_seed), t1, t2, 3)
             texts = (t1, t2)
             # the budgets' ranges come from the drawn lengths, so that the
             # draws from rng are the same for a near copy

@@ -23,14 +23,9 @@ lookup they leave, so similar texts often need no index at all.
 
 Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
 its lead, and the diagonal solver scans only the cells after it, like the
-snakes of Myers' O(ND) diff. Three bounds give the lead: the lead of the
-diagonal to the left on the same level (L never grows with i), that of the
-same diagonal one level down (L never grows with h) and, on level 1, the
-common prefix of the longer text and the diagonal, found by bisecting over
-slice comparisons. The lead is copied from the column whose lead bounds it,
-one slice of shared cells, and only a common prefix past the left lead
-makes new ones. On texts that share long runs most cells lie in leads, and
-a level at its fixed point shares most cells with the level below.
+snakes of Myers' O(ND) diff; ``_Columns.column`` gives the lead's bounds.
+On texts that share long runs most cells lie in leads, and a level at its
+fixed point shares most cells with the level below.
 
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
@@ -264,150 +259,166 @@ def diagonal_levels(
     level below and the level being filled are held here, so a caller that
     drops each yielded level keeps two. From the fixed point on, every
     deeper budget yields the same answer and list. The counters of each
-    filled level go to ``stats``; ``lcsuf_lookups`` counts the lookups the
-    loop's exact tests leave, and the ``LcsufIndex`` is built at the first.
-
-    A column's lead, its leading cells with L = s, is copied from the
-    column whose lead bounds it, and the scan starts after it. The lead is
-    at least the lead of the column to its left (L never grows with i), the
-    lead of the same diagonal one level down (L never grows with h) and, on
-    level 1, the common prefix of t2 and the diagonal, up to the column's
-    end; only that prefix, past the left lead, makes new cells.
+    filled level go to ``stats``. ``_Columns.column`` fills each column.
     """
     t1, t2, f, _ = _oriented(t1, t2, f)
     return _levels(t1, t2, f, stats)
 
 
+class _Columns:
+    """The diagonal solver's recurrence on one pair of oriented texts, with
+    the ``LcsufIndex`` that its lcsuf lookups share, built at the first lookup
+    that the exact tests leave, and ``lookups``, the count of those lookups."""
+
+    __slots__ = ("t1", "t2", "before", "index", "lookups")
+
+    def __init__(self, t1: bytes, t2: bytes) -> None:
+        # before[i - 1] is t1[i-1] (1-based) for i >= 2; its first byte is never read
+        self.t1, self.t2, self.before = t1, t2, b"\0" + t1
+        self.index: LcsufIndex | None = None  # on a few tail edits, never built
+        self.lookups = 0
+
+    def column(self, h: int, diag: int, left: list[int], left_lead: int,
+               up: list[int], up_lead: int) -> tuple[list[int], int]:
+        """Column diag of level h and its lead, from ``left``, L(h, diag-1, .),
+        and ``up``, L(h-1, diag, .), with their leads; [0] with lead 0 stands
+        in for a missing column, and a read past a column's end is infinite.
+
+        L(h, i, s) >= s, and L = s on a prefix of the diagonal, its lead. It is
+        at least the lead of ``left`` (L never grows with i), which ends before
+        this column does, or the answer would have stopped the scan; at h > 1
+        the lead of ``up`` (L never grows with h); at h = 1 the common prefix
+        of t2 and t1[diag:]. Cells 0..prior of the column whose lead bounds it
+        hold 0..prior, and the lead copies them, shared; only a common prefix
+        past the left lead makes new cells. The lead also takes in the cells
+        with L = s that the scan finds.
+        """
+        t1, t2, before, index = self.t1, self.t2, self.before, self.index
+        if index is not None:
+            rank1, rank2, levels = index.rank1, index.rank2, index.levels
+        inf = len(t2) + 1
+        find = t2.find
+        end = len(t1) - diag
+        n_left, n_up = len(left), len(up)
+        source, lead = (up, up_lead) if up_lead > left_lead else (left, left_lead)
+        prior = lead
+        if (h == 1 and t1[diag + lead] == t2[lead]
+                and t1.startswith(t2[: lead + 1], diag)):
+            lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if t1.startswith(t2[:mid], diag):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            lead = lo
+        column = source[: prior + 1]
+        column += range(prior + 1, lead + 1)
+        j = lead + 1  # the scan pointer never moves back along a diagonal
+        # the match the previous cell was accepted at, if any; after a
+        # lead, 0 costs nothing: no carried match decides the next cell
+        matched = lookups = 0
+        for s, a, b in zip(
+            range(lead + 1, end + 1), t1[diag + lead :], before[diag + lead :]
+        ):
+            # L(h, i, s) with i = s + diag is the first j >= the pointer
+            # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
+            # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
+            # t2[j] == t1[i] (= a), so only those j are queried
+            stop = left[s] if s < n_left else inf
+            if stop == j:
+                cand = 0
+            else:
+                if stop < j:
+                    stop = inf  # the pointer is already past L(h, i-1, s)
+                if j < stop and t2[j - 1] == a:
+                    cand = j
+                else:
+                    cand = find(a, j - 1, stop - 1) + 1  # 0 when none
+            while cand:
+                # Three exact tests spare most range minima. First,
+                # x + L(h-1, i-x, s-x) never grows with x (dropping the
+                # last common symbol of a level h-1 solution shortens
+                # both prefixes by one), so when x = 1 passes, the full
+                # lcsuf passes too; up[0] = 0 passes every s = 1. Second,
+                # lcsuf is 1, which has just failed, when the symbols
+                # before t1[i] and t2[cand] differ: b and t2[cand-1]
+                # (cand = 1 reads t2[-1]; should it equal b, the range
+                # minimum still gives 1). Third, a carried match: when
+                # the previous cell (i-1, s-1) was accepted at the match
+                # j-1 with some x', cand = j is its neighbour on the grid
+                # diagonal, so lcsuf(i, j) >= x' + 1, and x' + 1 passes
+                # here: it reads the same entry of up as x' did there and
+                # adds one to a sum that was <= j-1. So cand = j is
+                # accepted outright (t2[j-2] is t1[i-1] = b, so the
+                # test sits inside the branch below).
+                if s <= n_up and cand > up[s - 1]:
+                    break
+                if t2[cand - 2] == b:
+                    if matched and cand == j:
+                        break
+                    # range minimum of the LCP array between the ranks
+                    lookups += 1
+                    if index is None:
+                        index = self.index = LcsufIndex(t1, t2)
+                        rank1, rank2, levels = index.rank1, index.rank2, index.levels
+                    lo, hi = rank1[s + diag], rank2[cand]
+                    if lo > hi:
+                        lo, hi = hi, lo
+                    k = (hi - lo).bit_length() - 1
+                    x = levels[k][lo]
+                    y = levels[k][hi - (1 << k)]
+                    if y < x:
+                        x = y
+                    # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
+                    if x >= s or (s - x < n_up and cand >= x + up[s - x]):
+                        break
+                cand = find(a, cand, stop - 1) + 1
+            matched = cand  # the accepted match, or 0 when none passed
+            value = cand or stop
+            column.append(value)
+            if value == inf:
+                break  # deeper cells on this diagonal are infinite as well
+            j = value + 1
+        self.lookups += lookups
+        last = len(column) - 1
+        while lead < last and column[lead + 1] == lead + 1:
+            lead += 1
+        return column, lead
+
+
 def _levels(
     t1: bytes, t2: bytes, f: int, stats: SolveStats | None
 ) -> Iterator[tuple[int, list[list[int]]]]:
-    """The generator behind ``diagonal_levels``, on oriented texts."""
+    """The generator behind ``diagonal_levels``, on oriented texts: it runs
+    ``_Columns.column`` level by level, diagonal by diagonal."""
     n1, n2 = len(t1), len(t2)
     inf = n2 + 1
-    index = None  # on texts that differ by a few tail edits, never built
-    find = t2.find
-    # before[i - 1] is t1[i-1] (1-based) for i >= 2; its first byte is never read
-    before = b"\0" + t1
-
+    columns = _Columns(t1, t2)
+    column = columns.column
     below: list[list[int]] = []
     below_leads: list[int] = []
     for h in range(1, f + 1):
         level: list[list[int]] = []
         leads: list[int] = []
-        best = visits = lookups = 0
-        diag = lead = 0
+        best = visits = diag = 0
+        left, lead = [0], 0
         while diag < n1 - best:
-            # the two columns a diagonal reads, L(h, diag-1, .) and
-            # L(h-1, diag, .); [0] stands in for a column that does not
-            # exist, and a read past a column's end is infinite
-            left = level[diag - 1] if diag else [0]
-            up = below[diag] if diag < len(below) else [0]
-            n_left, n_up = len(left), len(up)
-            # L(h, i, s) >= s, and L = s on a prefix of the diagonal, its
-            # lead. It is at least the lead of the column to the left (L never
-            # grows with i), which ends before this column does, or the answer
-            # would have stopped the scan; at h > 1 the lead of this diagonal
-            # one level down (L never grows with h), which level h-1 filled;
-            # at h = 1 the common prefix of t2 and t1[diag:]. Cells 0..prior
-            # of source are 0..prior, and the lead copies them, shared; only
-            # a common prefix past the left lead makes new cells
-            end = n1 - diag
-            source, prior = left, lead
-            if h > 1:
-                if below_leads[diag] > lead:
-                    source = up
-                    lead = prior = below_leads[diag]
-            elif t1[diag + lead] == t2[lead] and t1.startswith(t2[: lead + 1], diag):
-                lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if t1.startswith(t2[:mid], diag):
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                lead = lo
-            column = source[: prior + 1]
-            column += range(prior + 1, lead + 1)
-            level.append(column)
-            j = lead + 1  # the scan pointer never moves back along a diagonal
-            # the match the previous cell was accepted at, if any; after a
-            # lead, 0 costs nothing: no carried match decides the next cell
-            matched = 0
-            for s, a, b in zip(
-                range(lead + 1, end + 1), t1[diag + lead :], before[diag + lead :]
-            ):
-                # L(h, i, s) with i = s + diag is the first j >= the pointer
-                # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
-                # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
-                # t2[j] == t1[i] (= a), so only those j are queried
-                stop = left[s] if s < n_left else inf
-                if stop == j:
-                    cand = 0
-                else:
-                    if stop < j:
-                        stop = inf  # the pointer is already past L(h, i-1, s)
-                    if j < stop and t2[j - 1] == a:
-                        cand = j
-                    else:
-                        cand = find(a, j - 1, stop - 1) + 1  # 0 when none
-                while cand:
-                    # Three exact tests spare most range minima. First,
-                    # x + L(h-1, i-x, s-x) never grows with x (dropping the
-                    # last common symbol of a level h-1 solution shortens
-                    # both prefixes by one), so when x = 1 passes, the full
-                    # lcsuf passes too; up[0] = 0 passes every s = 1. Second,
-                    # lcsuf is 1, which has just failed, when the symbols
-                    # before t1[i] and t2[cand] differ: b and t2[cand-1]
-                    # (cand = 1 reads t2[-1]; should it equal b, the range
-                    # minimum still gives 1). Third, a carried match: when
-                    # the previous cell (i-1, s-1) was accepted at the match
-                    # j-1 with some x', cand = j is its neighbour on the grid
-                    # diagonal, so lcsuf(i, j) >= x' + 1, and x' + 1 passes
-                    # here: it reads the same entry of up as x' did there and
-                    # adds one to a sum that was <= j-1. So cand = j is
-                    # accepted outright (t2[j-2] is t1[i-1] = b, so the
-                    # test sits inside the branch below).
-                    if s <= n_up and cand > up[s - 1]:
-                        break
-                    if t2[cand - 2] == b:
-                        if matched and cand == j:
-                            break
-                        # range minimum of the LCP array between the ranks
-                        lookups += 1
-                        if index is None:
-                            index = LcsufIndex(t1, t2)
-                            rank1, rank2, levels = index.rank1, index.rank2, index.levels
-                        lo, hi = rank1[s + diag], rank2[cand]
-                        if lo > hi:
-                            lo, hi = hi, lo
-                        k = (hi - lo).bit_length() - 1
-                        x = levels[k][lo]
-                        y = levels[k][hi - (1 << k)]
-                        if y < x:
-                            x = y
-                        # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
-                        if x >= s or (s - x < n_up and cand >= x + up[s - x]):
-                            break
-                    cand = find(a, cand, stop - 1) + 1
-                matched = cand  # the accepted match, or 0 when none passed
-                value = cand or stop
-                column.append(value)
-                if value == inf:
-                    break  # deeper cells on this diagonal are infinite as well
-                j = value + 1
-            # the scan may have found further cells with L = s
-            last = len(column) - 1
-            while lead < last and column[lead + 1] == lead + 1:
-                lead += 1
+            # below[diag] exists: on every prefix of the diagonals level h's
+            # answer is at least level h-1's, so level h stops no later
+            up, up_lead = (below[diag], below_leads[diag]) if h > 1 else ([0], 0)
+            left, lead = column(h, diag, left, lead, up, up_lead)
+            level.append(left)
             leads.append(lead)
             # each finite cell moved the pointer from j to its value + 1, so the
             # scan visited up to the last finite value, or all of t2 at an inf
-            visits += min(column[-1], n2)
-            best = max(best, len(column) - 1 - (column[-1] == inf))
+            visits += min(left[-1], n2)
+            best = max(best, len(left) - 1 - (left[-1] == inf))
             diag += 1
         if stats is not None:
             stats.cell_visits += visits
-            stats.lcsuf_lookups += lookups
+            stats.lcsuf_lookups += columns.lookups
+        columns.lookups = 0
         if h > 1 and level == below:
             # level h+1 would be computed from level h exactly as level h
             # was from level h-1, so every deeper level repeats level h

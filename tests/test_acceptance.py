@@ -10,7 +10,7 @@ import random
 import time
 
 from segsub.harness import differential_run
-from segsub.indseglcs import indseglcs
+from segsub.independent import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import min_segments_bruteforce
 from segsub.reduction import build_episode_reduction, check_reduction_equivalence

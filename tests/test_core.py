@@ -1,5 +1,7 @@
-"""Tests for the shared domain types and the package-level membership call."""
+"""Tests for the shared domain types and the package-level names."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from segsub.core import (
     verify_embedding,
 )
 
+import segsub
 from segsub import sege
 
 from helpers import greedy_subsequence
@@ -140,3 +143,11 @@ def test_random_witnesses_are_members():
         e = Embedding(Segmentation(tuple(segments)), tuple(starts))
         assert verify_embedding(t, e)
         assert sege(t, e.segmentation.pattern, len(segments))
+
+
+def test_package_attributes_are_not_shadowed_by_submodules():
+    # a package attribute named like a submodule hides it from
+    # ``monkeypatch.setattr(segsub.<name>, ...)`` and ``import segsub.<name> as m``
+    for info in pkgutil.iter_modules(segsub.__path__):
+        module = importlib.import_module(f"segsub.{info.name}")
+        assert getattr(segsub, info.name) is module, info.name

@@ -1,14 +1,14 @@
 """Tests for the independent-budget solver and the score machinery."""
 
-import importlib
 import random
 import tracemalloc
 
 import pytest
 
+from segsub import independent
 from segsub.core import ResourceLimitError
 from segsub.harness import generate_instance
-from segsub.indseglcs import (
+from segsub.independent import (
     _fill,
     _lcs_length,
     indseglcs,
@@ -26,9 +26,6 @@ from helpers import (
     indseglcs_cellwise,
     random_text,
 )
-
-# the package's ``indseglcs`` attribute is the function, not this module
-MODULE = importlib.import_module("segsub.indseglcs")
 
 # (t1, t2, f1, f2, force_family, answer) above the brute-force oracle's length
 # cap, recorded with an earlier cell-by-cell implementation of the same tables.
@@ -354,8 +351,8 @@ class TestBoundsAndBand:
         def refuse(*args):
             raise AssertionError("saturated budgets need neither bound nor tables")
 
-        monkeypatch.setattr(MODULE, "slcs_baseline", refuse)
-        monkeypatch.setattr(MODULE, "_fill", refuse)
+        monkeypatch.setattr(independent, "slcs_baseline", refuse)
+        monkeypatch.setattr(independent, "_fill", refuse)
         rng = random.Random(44)
         for _ in range(40):
             t1, t2 = random_text(rng, 30), random_text(rng, 30)

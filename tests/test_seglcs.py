@@ -11,7 +11,7 @@ from segsub import seglcs as seglcs_module
 from segsub import segmatch
 from segsub.core import ResourceLimitError, verify_embedding
 from segsub.harness import generate_instance
-from segsub.indseglcs import indseglcs
+from segsub.independent import indseglcs
 from segsub.lce import LcsufIndex, lcsuf_matrix
 from segsub.oracle import slcs_bruteforce
 from segsub.seglcs import (
@@ -854,6 +854,58 @@ def test_scattered_edits_resume_the_scan_after_the_lead():
         full = shortest_prefix_tables(t1, t2, len(levels))
         for h, i, s, value in diagonal_cells(levels):
             assert value == full[h][i][s], (t1, t2, h, i, s)
+
+
+def _uniform_tail_and_scattered_pairs(rng: random.Random, count: int):
+    """``count`` pairs of at most 40 symbols over 1-4 symbols, in turn:
+    uniform, up to three tail edits, and one to four substitutions at
+    random positions."""
+    for case in range(count):
+        kind, n, alphabet = case % 3, rng.randint(1, 40), rng.randint(1, 4)
+        lengths = (n, n if kind else rng.randint(0, 40))
+        similarity = rng.randint(0, 3) if kind == 1 else None
+        t1, t2 = generate_instance(
+            lengths, alphabet=alphabet, seed=rng.randrange(1 << 30), similarity=similarity
+        )
+        if kind == 2:
+            t2 = _near_copy(rng, t1, rng.randint(1, min(n, 4)), alphabet)
+        yield t1, t2
+
+
+def _lead(column: list[int]) -> int:
+    """The last s of the longest prefix of ``column`` with column[s] == s."""
+    lead = 0
+    while lead + 1 < len(column) and column[lead + 1] == lead + 1:
+        lead += 1
+    return lead
+
+
+def test_column_function_refills_every_stored_column():
+    # _levels only schedules the column function: given a stored column's
+    # left and up columns and their leads, it returns that column and lead
+    rng = random.Random(34)
+    for t1, t2 in _uniform_tail_and_scattered_pairs(rng, 150):
+        f = rng.randint(1, 8)
+        _, levels = drain_diagonal(t1, t2, f)
+        short, long, _, _ = seglcs_module._oriented(t1, t2, f)
+        columns = seglcs_module._Columns(short, long)
+        for h, level in enumerate(levels, start=1):
+            if h > 1 and level is levels[h - 2]:
+                break  # past the fixed point every budget yields this list
+            for diag, stored in enumerate(level):
+                left = level[diag - 1] if diag else [0]
+                up = levels[h - 2][diag] if h > 1 else [0]
+                got = columns.column(h, diag, left, _lead(left), up, _lead(up))
+                assert got == (stored, _lead(stored)), (t1, t2, h, diag)
+
+
+def test_no_level_fills_more_diagonals_than_the_level_below():
+    # _levels reads column diag of level h-1 for every diagonal of level h
+    rng = random.Random(35)
+    for t1, t2 in _uniform_tail_and_scattered_pairs(rng, 300):
+        _, levels = drain_diagonal(t1, t2, rng.randint(2, 12))
+        for below, level in zip(levels, levels[1:]):
+            assert len(level) <= len(below), (t1, t2)
 
 
 def test_diagonal_levels_refuses_a_bad_budget_when_called():
