@@ -202,12 +202,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_minsege)
 
     p = sub.add_parser("seglcs", parents=[common], help="segmental LCS length")
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p.add_argument("--segments", type=int, required=True)
+    for name in ("--t1", "--t2"):
+        p.add_argument(name, required=True, help="a text: raw bytes, or @path")
+    p.add_argument("--segments", type=int, required=True,
+                   help="budget f: at most f pieces, each contiguous in both texts")
     mode = p.add_mutually_exclusive_group()
     # difftest's REPLAY lines name the solver that failed through --algo
-    mode.add_argument("--algo", choices=("diagonal", "baseline", "oracle"))
+    mode.add_argument("--algo", choices=("diagonal", "baseline", "oracle"),
+                      help="solver (default: diagonal); baseline, the dense "
+                           "O(f*n1*n2) fill, is faster on unrelated texts; oracle, "
+                           "brute force, refuses texts over "
+                           f"{oracle.DEFAULT_SIZE_LIMIT} symbols (exit {LIMIT_EXIT})")
     mode.add_argument("--witness", action="store_true",
                       help="also print segments and both embeddings (baseline)")
     mode.add_argument("--dump-tables", action="store_true",
@@ -240,10 +245,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("difftest", parents=[common],
                        help="differential run of all solvers vs brute force")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--max-len", type=int, default=10)
-    p.add_argument("--alphabet", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=1000,
+                   help="random cases to check (default: %(default)s)")
+    p.add_argument("--max-len", type=int, default=10,
+                   help=f"longest text drawn, capped at {oracle.DEFAULT_SIZE_LIMIT} "
+                        "(default: %(default)s)")
+    p.add_argument("--alphabet", type=int, default=3,
+                   help="alphabet size k, 1..256: the first k letters a-z "
+                        "up to 26, else bytes 0..k-1 (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed; it fixes every case (default: %(default)s)")
     p.set_defaults(func=_cmd_difftest)
 
     return parser

@@ -16,10 +16,10 @@ the longer text, skipping whole diagonals that can no longer improve the
 answer; when the solution is long it touches only a sliver of each table.
 It is a generator: it yields each level with the answer at its budget and
 keeps only the level below the one it fills. ``slcs_diagonal`` drains it
-for the last answer; the CLI's table dump keeps every level. Three exact
-tests settle most of its lcsuf lookups, one of them a match carried along
-each grid diagonal, and the ``LcsufIndex`` is built only at the first
-lookup they leave, so similar texts often need no index at all.
+for the last answer; the CLI's table dump keeps every level. Two exact
+tests settle most of its lcsuf lookups, and the ``LcsufIndex`` is built
+only at the first lookup they leave, so similar texts often need no index
+at all.
 
 Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
 its lead, and the diagonal solver scans only the cells after it, like the
@@ -315,9 +315,7 @@ class _Columns:
         column = source[: prior + 1]
         column += range(prior + 1, lead + 1)
         j = lead + 1  # the scan pointer never moves back along a diagonal
-        # the match the previous cell was accepted at, if any; after a
-        # lead, 0 costs nothing: no carried match decides the next cell
-        matched = lookups = 0
+        lookups = 0
         for s, a, b in zip(
             range(lead + 1, end + 1), t1[diag + lead :], before[diag + lead :]
         ):
@@ -336,7 +334,7 @@ class _Columns:
                 else:
                     cand = find(a, j - 1, stop - 1) + 1  # 0 when none
             while cand:
-                # Three exact tests spare most range minima. First,
+                # Two exact tests spare most range minima. First,
                 # x + L(h-1, i-x, s-x) never grows with x (dropping the
                 # last common symbol of a level h-1 solution shortens
                 # both prefixes by one), so when x = 1 passes, the full
@@ -344,19 +342,10 @@ class _Columns:
                 # lcsuf is 1, which has just failed, when the symbols
                 # before t1[i] and t2[cand] differ: b and t2[cand-1]
                 # (cand = 1 reads t2[-1]; should it equal b, the range
-                # minimum still gives 1). Third, a carried match: when
-                # the previous cell (i-1, s-1) was accepted at the match
-                # j-1 with some x', cand = j is its neighbour on the grid
-                # diagonal, so lcsuf(i, j) >= x' + 1, and x' + 1 passes
-                # here: it reads the same entry of up as x' did there and
-                # adds one to a sum that was <= j-1. So cand = j is
-                # accepted outright (t2[j-2] is t1[i-1] = b, so the
-                # test sits inside the branch below).
+                # minimum still gives 1).
                 if s <= n_up and cand > up[s - 1]:
                     break
                 if t2[cand - 2] == b:
-                    if matched and cand == j:
-                        break
                     # range minimum of the LCP array between the ranks
                     lookups += 1
                     if index is None:
@@ -374,7 +363,6 @@ class _Columns:
                     if x >= s or (s - x < n_up and cand >= x + up[s - x]):
                         break
                 cand = find(a, cand, stop - 1) + 1
-            matched = cand  # the accepted match, or 0 when none passed
             value = cand or stop
             column.append(value)
             if value == inf:

@@ -767,8 +767,8 @@ def test_diagonal_runs_match_shortest_prefix_tables():
 
 
 def test_near_copy_runs_match_shortest_prefix_tables():
-    # near copies put long matches on the grid diagonals, where a match
-    # carried from the previous cell decides most candidates: every stored
+    # near copies put long matches on the grid diagonals, where the column
+    # leads and the two exact tests decide most candidates: every stored
     # cell still equals the definition, and a length-only solve agrees
     rng = random.Random(32)
     for _ in range(200):
