@@ -17,33 +17,41 @@ rows: cell (i1, d - i1) sits at row i1 of each diagonal buffer. The fill
 keeps three diagonals plus two scratch ones, each (n1 + 1) * 4 * (g1 + 1) *
 (g2 + 1) float32 values (exact for every length below 2**24).
 
-``indseglcs`` first sizes those buffers: a solve whose buffers would exceed
-physical memory raises ``ResourceLimitError`` before allocating anything,
-whatever the bounds below would give. Then two bounds hold the answer:
-slcs(min(f1, f2)) <= indseglcs(f1, f2) <= LCS(t1, t2), since one shared
-segmentation fits both budgets and any common string is a common
-subsequence. The classic LCS is bit-parallel over t1 (Hyyro 2004), and it
-is the answer outright when both budgets are saturated (g1 = g2 = 0). The
-lower bound, ``slcs_baseline`` at f = min(f1, f2) clamped, fills f*n1*n2
-cells; it runs only when f <= 4 * (g1 + 1) * (g2 + 1), so that it never
-costs more than the tables' 4 * n1 * n2 * (g1 + 1) * (g2 + 1). When it
-reaches the LCS, no table is filled. Otherwise the fill is banded after
-Ukkonen (1985): an answer of at least ell embeds along a path on which
--(n2 - ell) <= i1 - i2 <= n1 - ell, because the matches still to come must
-fit in the rest of both texts. Each diagonal fills only its rows in that
-band, and the one row past either end that the next two diagonals read is
-set to -inf, so every cell read holds its exact value or -inf. With ell = 0
-the band is the whole table.
+``indseglcs`` takes five steps in order, and each may end the call: the
+allocation check, saturated budgets, the certificate, the slcs bound and the
+band. First it sizes those buffers: a solve whose buffers would exceed
+physical memory raises ``ResourceLimitError`` before allocating anything. The
+next three rely on two bounds, slcs(min(f1, f2)) <= indseglcs(f1, f2) <=
+LCS(t1, t2), since one shared segmentation fits both budgets and any common
+string is a common subsequence. The classic LCS is bit-parallel over t1
+(Hyyro 2004), and it is the answer outright when both budgets are saturated
+(g1 = g2 = 0). Otherwise, as a certificate, one LCS string is traced back
+over the bit-parallel rows; when it embeds in t1 within f1 pieces and in t2
+within f2, it is a longest common string within both budgets, and the LCS is
+the answer with no table. The rows, one int of n1 bits per symbol of t2, are
+kept only where they take no more bytes than the five diagonals; otherwise
+this exit is skipped. The lower bound, ``slcs_baseline`` at f = min(f1, f2)
+clamped, fills f*n1*n2 cells; it runs only when f <= 4 * (g1 + 1) * (g2 + 1),
+so that it never costs more than the tables'
+4 * n1 * n2 * (g1 + 1) * (g2 + 1). When it reaches the LCS, no table is
+filled. Otherwise the fill is banded after Ukkonen (1985): an answer of at
+least ell embeds along a path on which -(n2 - ell) <= i1 - i2 <= n1 - ell,
+because the matches still to come must fit in the rest of both texts. Each
+diagonal fills only its rows in that band, and the one row past either end
+that the next two diagonals read is set to -inf, so every cell read holds
+its exact value or -inf. With ell = 0 the band is the whole table.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_text, check_allocation, check_budget
 from .seglcs import slcs_baseline
+from .segmatch import sege
 
 NEG_INF = float("-inf")
 
@@ -134,19 +142,45 @@ def _empty_states(cfg: SideConfig) -> np.ndarray:
     return q
 
 
-def _lcs_length(t1: bytes, t2: bytes) -> int:
-    """Classic LCS length, bit-parallel over t1 (Hyyro 2004, after Allison and
-    Dix 1986): bit i of v is clear where the LCS of t1[:i+1] with the prefix
-    of t2 read so far steps up."""
+def _lcs_rows(t1: bytes, t2: bytes):
+    """Classic LCS rows, bit-parallel over t1 (Hyyro 2004, after Allison and
+    Dix 1986): v_j, yielded for j = 0..len(t2), has bit i clear where the LCS
+    of t1[:i+1] with t2[:j] steps up, so L(i, j) = i - popcount(v_j's low i
+    bits)."""
     masks: dict[int, int] = {}
     for i, c in enumerate(t1):
         masks[c] = masks.get(c, 0) | 1 << i
     full = (1 << len(t1)) - 1
     v = full
+    yield v
     for c in t2:
         u = v & masks.get(c, 0)
         v = ((v + u) | (v - u)) & full
-    return len(t1) - v.bit_count()
+        yield v
+
+
+def _lcs_length(t1: bytes, t2: bytes) -> int:
+    """Classic LCS length, from the last of ``_lcs_rows``."""
+    return len(t1) - deque(_lcs_rows(t1, t2), maxlen=1)[0].bit_count()
+
+
+def _lcs_string(t1: bytes, t2: bytes) -> bytes:
+    """One longest common subsequence, traced back over all of ``_lcs_rows``:
+    a match is always a diagonal step; otherwise L(i - 1, j) = L(i, j)
+    exactly where bit i - 1 of v_j is set, and the trace goes up there and
+    left elsewhere."""
+    rows = list(_lcs_rows(t1, t2))
+    out = bytearray()
+    i, j = len(t1), len(t2)
+    while i and j:
+        if t1[i - 1] == t2[j - 1]:
+            out.append(t1[i - 1])
+            i, j = i - 1, j - 1
+        elif rows[j] >> (i - 1) & 1:
+            i -= 1
+        else:
+            j -= 1
+    return bytes(out[::-1])
 
 
 def indseglcs(
@@ -164,14 +198,22 @@ def indseglcs(
     cfg1 = side_config(n1, f1, force_family)
     cfg2 = side_config(n2, f2, force_family)
     planes = (cfg1.g + 1) * (cfg2.g + 1)
-    check_allocation(  # five diagonals and two empty-state arrays, float32
-        4 * (5 * (n1 + 1) * 4 * planes + 2 * (n1 + 1) * (cfg1.g + 1)
-             + 2 * (n2 + 1) * (cfg2.g + 1)),
+    diagonals = 4 * 5 * (n1 + 1) * 4 * planes  # bytes, float32
+    check_allocation(  # the diagonals and two empty-state arrays
+        diagonals + 4 * (2 * (n1 + 1) * (cfg1.g + 1) + 2 * (n2 + 1) * (cfg2.g + 1)),
         "the indseglcs diagonals",
     )
-    upper = _lcs_length(t1, t2)
     if cfg1.g == cfg2.g == 0:
-        return upper  # both budgets saturated
+        return _lcs_length(t1, t2)  # both budgets saturated
+    # a row, an int of n1 bits and its list slot, takes at most 36 + n1/7.5
+    # bytes; the rows are kept only where they take no more than the diagonals
+    if (n2 + 1) * (36 + n1 / 7.5) <= diagonals:
+        common = _lcs_string(t1, t2)
+        if sege(t1, common, cfg1.f) and sege(t2, common, cfg2.f):
+            return len(common)  # a longest common string within both budgets
+        upper = len(common)
+    else:
+        upper = _lcs_length(t1, t2)
     ell = 0
     f = min(cfg1.f, cfg2.f)
     if f <= 4 * planes:  # the bound's f*n1*n2 cells cost at most the tables'

@@ -8,6 +8,7 @@ import numpy as np
 
 from segsub.core import as_text
 from segsub.harness import generate_instance
+from segsub.independent import _fill, side_config
 from segsub.seglcs import (
     SolveStats,
     _table_rows,
@@ -360,3 +361,19 @@ def indseglcs_cellwise(t1: bytes, t2: bytes, cfg1, cfg2) -> int:
     best = max(table[n1, n2, (x1, cfg1.g), (x2, cfg2.g)]
                for x1 in symbols[cfg1.family] for x2 in symbols[cfg2.family])
     return int(best) if best != _NEG else 0
+
+
+def table_fills(t1: bytes, t2: bytes, f1: int, f2: int, family=None) -> list[int]:
+    """indseglcs's tables without its exits: ``_fill``'s answers at the lower
+    bounds 0, the slcs bound and the answer itself, with t1 the shorter text
+    as ``indseglcs`` passes it."""
+    t1, t2 = as_text(t1), as_text(t2)
+    if len(t1) > len(t2):
+        t1, t2, f1, f2 = t2, t1, f2, f1
+    cfg1 = side_config(len(t1), f1, family)
+    cfg2 = side_config(len(t2), f2, family)
+    answer = _fill(t1, t2, cfg1, cfg2, 0)
+    bound = slcs_baseline(t1, t2, min(cfg1.f, cfg2.f))
+    assert bound <= answer <= classic_lcs_len(t1, t2)
+    return [answer, _fill(t1, t2, cfg1, cfg2, bound),
+            _fill(t1, t2, cfg1, cfg2, answer)]

@@ -11,13 +11,14 @@ from segsub.harness import generate_instance
 from segsub.independent import (
     _fill,
     _lcs_length,
+    _lcs_string,
     indseglcs,
     segmentation_score,
     side_config,
 )
 from segsub.oracle import indseglcs_bruteforce, slcs_bruteforce
 from segsub.seglcs import slcs_baseline, slcs_diagonal
-from segsub.segmatch import min_segments
+from segsub.segmatch import min_segments, sege
 
 from helpers import (
     classic_lcs_len,
@@ -25,6 +26,7 @@ from helpers import (
     enumerate_embeddings,
     indseglcs_cellwise,
     random_text,
+    table_fills,
 )
 
 # (t1, t2, f1, f2, force_family, answer) above the brute-force oracle's length
@@ -179,6 +181,9 @@ class TestSolver:
             auto = indseglcs(t1, t2, f1, f2)
             assert auto == indseglcs(t1, t2, f1, f2, force_family="count")
             assert auto == indseglcs(t1, t2, f1, f2, force_family="score")
+            # the certificate settles most of these calls; the tables too
+            assert table_fills(t1, t2, f1, f2, "count") == [auto] * 3
+            assert table_fills(t1, t2, f1, f2, "score") == [auto] * 3
 
     def test_monotone_in_each_budget(self):
         rng = random.Random(35)
@@ -245,6 +250,7 @@ class TestSolver:
     @pytest.mark.parametrize("t1, t2, f1, f2, family, answer", PINNED)
     def test_pinned_answers(self, t1, t2, f1, f2, family, answer):
         assert indseglcs(t1, t2, f1, f2, force_family=family) == answer
+        assert table_fills(t1, t2, f1, f2, family) == [answer] * 3
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -275,20 +281,6 @@ def _near_copy(rng, n, k):
     return t1, bytes(t2)
 
 
-def _fills(t1, t2, f1, f2, family=None):
-    """``_fill``'s answers at the lower bounds 0, the slcs bound and the
-    answer itself, with t1 the shorter text as ``indseglcs`` passes it."""
-    if len(t1) > len(t2):
-        t1, t2, f1, f2 = t2, t1, f2, f1
-    cfg1 = side_config(len(t1), f1, family)
-    cfg2 = side_config(len(t2), f2, family)
-    answer = _fill(t1, t2, cfg1, cfg2, 0)
-    bound = slcs_baseline(t1, t2, min(cfg1.f, cfg2.f))
-    assert bound <= answer <= _lcs_length(t1, t2)
-    return [answer, _fill(t1, t2, cfg1, cfg2, bound),
-            _fill(t1, t2, cfg1, cfg2, answer)]
-
-
 class TestBoundsAndBand:
     def test_lcs_helper_matches_textbook_lcs(self):
         rng = random.Random(41)
@@ -296,7 +288,12 @@ class TestBoundsAndBand:
             for _ in range(60):
                 t1 = bytes(rng.randrange(k) for _ in range(rng.randint(0, 40)))
                 t2 = bytes(rng.randrange(k) for _ in range(rng.randint(0, 40)))
-                assert _lcs_length(t1, t2) == classic_lcs_len(t1, t2), (t1, t2)
+                want = classic_lcs_len(t1, t2)
+                assert _lcs_length(t1, t2) == want, (t1, t2)
+                common = _lcs_string(t1, t2)
+                assert len(common) == want, (t1, t2)
+                assert min_segments(t1, common) is not None, (t1, t2)
+                assert min_segments(t2, common) is not None, (t1, t2)
 
     def test_band_fill_exact_above_oracle_cap(self):
         # near copies and identical texts put the band at one or a few grid
@@ -304,7 +301,7 @@ class TestBoundsAndBand:
         rng = random.Random(42)
         t = bytes(97 + rng.randrange(3) for _ in range(27))
         for f in (1, 2, 5, 14):
-            assert _fills(t, t, f, f) == [27, 27, 27]
+            assert table_fills(t, t, f, f) == [27, 27, 27]
         for case in range(36):
             n = rng.randint(16, 60)
             k = rng.choice((1, 2, 4, 8))
@@ -317,7 +314,7 @@ class TestBoundsAndBand:
                 t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(16, 60)))
             f1, f2 = rng.randint(1, n // 3), rng.randint(1, n // 3)
             family = rng.choice((None, "count", "score"))
-            answers = _fills(t1, t2, f1, f2, family)
+            answers = table_fills(t1, t2, f1, f2, family)
             assert answers == [answers[0]] * 3, (t1, t2, f1, f2, family)
             assert indseglcs(t1, t2, f1, f2, family) == answers[0]
 
@@ -332,10 +329,10 @@ class TestBoundsAndBand:
                 t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(10, 14)))
             f1, f2 = rng.randint(1, 5), rng.randint(1, 5)
             want = indseglcs_bruteforce(t1, t2, f1, f2)
-            assert _fills(t1, t2, f1, f2) == [want] * 3, (t1, t2, f1, f2)
+            assert table_fills(t1, t2, f1, f2) == [want] * 3, (t1, t2, f1, f2)
 
     def test_near_copy_needs_no_tables(self):
-        # the slcs bound reaches the LCS, so the five diagonals, about 21 MB
+        # an LCS string fits both budgets, so the five diagonals, about 21 MB
         # at n = 160 and g = 40, are never allocated
         t1, t2 = generate_instance((160, 160), alphabet=4, seed=1, similarity=2)
         tracemalloc.start()
@@ -361,6 +358,133 @@ class TestBoundsAndBand:
             assert indseglcs(t1, t2, f1, f2) == classic_lcs_len(t1, t2)
 
 
+def _certified(t1, t2, f1, f2):
+    """Whether the traced LCS string fits both budgets, t1 the shorter text."""
+    if len(t1) > len(t2):
+        t1, t2, f1, f2 = t2, t1, f2, f1
+    cfg1, cfg2 = side_config(len(t1), f1), side_config(len(t2), f2)
+    common = _lcs_string(t1, t2)
+    return sege(t1, common, cfg1.f) and sege(t2, common, cfg2.f)
+
+
+def _refuse_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the certificate settles this call")
+
+    monkeypatch.setattr(independent, "slcs_baseline", refuse)
+    monkeypatch.setattr(independent, "_fill", refuse)
+
+
+class TestCertificate:
+    """An LCS string that fits both budgets is the answer, with no table."""
+
+    def test_matches_bruteforce_at_oracle_cap(self):
+        rng = random.Random(45)
+        fired = missed = 0
+        for case in range(120):
+            k = rng.choice((1, 2, 3))
+            if case % 2:
+                t1, t2 = _near_copy(rng, rng.randint(8, 14), k)
+            else:
+                t1 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(8, 14)))
+                t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(8, 14)))
+            f1, f2 = rng.randint(1, 4), rng.randint(1, 4)
+            want = indseglcs_bruteforce(t1, t2, f1, f2)
+            assert indseglcs(t1, t2, f1, f2) == want, (t1, t2, f1, f2)
+            if _certified(t1, t2, f1, f2):
+                fired += 1
+                assert want == classic_lcs_len(t1, t2), (t1, t2, f1, f2)
+            else:
+                missed += 1
+        assert fired and missed
+
+    def test_matches_full_tables_above_oracle_cap(self):
+        rng = random.Random(46)
+        fired = missed = 0
+        for case in range(30):
+            n = rng.randint(24, 80)
+            k = rng.choice((2, 3, 4, 8, 26))
+            if case % 3 == 0:
+                t1, t2 = _near_copy(rng, n, k)
+            else:
+                t1 = bytes(97 + rng.randrange(k) for _ in range(n))
+                t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(24, 80)))
+            f1, f2 = rng.randint(1, n // 4), rng.randint(1, n // 4)
+            want = table_fills(t1, t2, f1, f2)[0]
+            assert indseglcs(t1, t2, f1, f2) == want, (t1, t2, f1, f2)
+            if _certified(t1, t2, f1, f2):
+                fired += 1
+            else:
+                missed += 1
+        assert fired and missed
+
+    def test_uniform_pair_needs_no_tables(self, monkeypatch):
+        # the full fill took about 0.5 s here, and the slcs bound stops at 97
+        _refuse_tables(monkeypatch)
+        t1, t2 = generate_instance((160, 160), alphabet=4, seed=1)
+        assert indseglcs(t1, t2, 40, 40) == 99 == classic_lcs_len(t1, t2)
+
+    @pytest.mark.parametrize("n, alphabet", [(80, 2), (80, 26), (100, 4)])
+    def test_skipped_bound_needs_no_tables(self, monkeypatch, n, alphabet):
+        # f = n/2 - 1 is the score family at g = 2, where the slcs bound's
+        # f*n1*n2 cells are deemed dearer than the tables and it does not run
+        f = n // 2 - 1
+        assert f > 4 * (side_config(n, f).g + 1) ** 2
+        rng = random.Random(f"skipped-{n}-{alphabet}")
+        t1 = bytes(97 + rng.randrange(alphabet) for _ in range(n))
+        t2 = bytearray(t1)
+        for pos in rng.sample(range(n), 4):  # always a new symbol
+            t2[pos] = 97 + (t2[pos] - 97 + 1 + rng.randrange(alphabet - 1)) % alphabet
+        pairs = [generate_instance((n, n), alphabet=alphabet, seed=1), (t1, bytes(t2))]
+        want = [classic_lcs_len(*pair) for pair in pairs]
+        _refuse_tables(monkeypatch)
+        assert [indseglcs(*pair, f, f) for pair in pairs] == want
+
+    def test_miss_below_lcs_returns_table_answer(self, monkeypatch):
+        # the LCS is 15, but no common string of that length fits 6 pieces
+        t1, t2 = b"cdcaadbdaaddaadbbaddacda", b"cdabbdbcaacabdbacbcadcad"
+        assert not _certified(t1, t2, 6, 6)
+        fills = []
+
+        def spy(*args):
+            fills.append(_fill(*args))
+            return fills[-1]
+
+        monkeypatch.setattr(independent, "_fill", spy)
+        assert indseglcs(t1, t2, 6, 6) == 14 < classic_lcs_len(t1, t2) == 15
+        assert fills == [14]
+        assert table_fills(t1, t2, 6, 6) == [14] * 3
+
+    def test_kept_rows_stay_within_the_diagonals(self, monkeypatch):
+        # n = 2001 at f = 1000 is the score family at g = 1 on both sides:
+        # 2,002 rows of about 303 bytes, just under the five diagonals'
+        # 5 * 2,002 * 4 * 2 * 2 float32 values
+        _refuse_tables(monkeypatch)
+        t1, t2 = generate_instance((2001, 2001), alphabet=4, seed=1, similarity=2)
+        tracemalloc.start()
+        try:
+            answer = indseglcs(t1, t2, 1000, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer == 1999
+        assert peak <= 5 * 2002 * 4 * 2 * 2 * 4
+
+    def test_long_text_beside_short_one_keeps_no_rows(self, monkeypatch):
+        # 3,001 rows of about 36 bytes each outweigh the diagonals' 80 bytes
+        # per row of t1 and (g1 + 1) * (g2 + 1) = 2 * 51 planes
+        def refuse(*args):
+            raise AssertionError("the rows take more than the diagonals")
+
+        rng = random.Random(47)
+        t1 = b"abc"
+        t2 = bytes(97 + rng.randrange(3) for _ in range(3000))
+        want = table_fills(t1, t2, 1, 50)[0]
+        monkeypatch.setattr(independent, "_lcs_string", refuse)
+        assert indseglcs(t1, t2, 1, 50) == want
+        assert indseglcs(t2, t1, 50, 1) == want
+
+
 def test_metamorphic_properties():
     # lengths 20-60, above the brute-force oracle's cap
     rng = random.Random(40)
@@ -377,5 +501,7 @@ def test_metamorphic_properties():
         assert indseglcs(t1, t2, f1, f2 + 1) >= base
         assert indseglcs(t1, t2, f1, f2, force_family="count") == base
         assert indseglcs(t1, t2, f1, f2, force_family="score") == base
+        assert table_fills(t1, t2, f1, f2, "count") == [base] * 3
+        assert table_fills(t1, t2, f1, f2, "score") == [base] * 3
         f = min(f1, f2)
         assert indseglcs(t1, t2, f, f) >= slcs_diagonal(t1, t2, f)

@@ -35,6 +35,7 @@ from helpers import (
     random_text,
     seglcs_visit_counts,
     shortest_prefix_tables,
+    table_fills,
 )
 
 T1 = b"abcabbac"
@@ -295,6 +296,7 @@ def test_empty_texts_through_every_entry_point(t1, t2, f):
     assert x.shape == (len(t1) + 1, len(t2) + 1) and not x.any()
     for family in ("count", "score"):
         assert indseglcs(t1, t2, f, f, force_family=family) == 0
+        assert table_fills(t1, t2, f, f, family) == [0, 0, 0]
 
 
 class TestFullShortestPrefixTable:
@@ -595,7 +597,9 @@ def test_independent_budgets_dominate_shared_above_oracle_cap(family):
             t2 = bytes(97 + rng.randrange(alphabet) for _ in range(rng.randint(20, 40)))
         f = rng.randint(1, 6)
         shared = slcs_diagonal(t1, t2, f)
-        assert indseglcs(t1, t2, f, f, force_family=family) >= shared, (t1, t2, f)
+        got = indseglcs(t1, t2, f, f, force_family=family)
+        assert got >= shared, (t1, t2, f)
+        assert table_fills(t1, t2, f, f, family) == [got] * 3, (t1, t2, f)
 
 
 class TestFixedPoint:
