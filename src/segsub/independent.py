@@ -17,22 +17,29 @@ rows: cell (i1, d - i1) sits at row i1 of each diagonal buffer. The fill
 keeps three diagonals plus two scratch ones, each (n1 + 1) * 4 * (g1 + 1) *
 (g2 + 1) float32 values (exact for every length below 2**24).
 
-``indseglcs`` takes five steps in order, and each may end the call: the
-allocation check, saturated budgets, the certificate, the slcs bound and the
-band. First it sizes those buffers: a solve whose buffers would exceed
-physical memory raises ``ResourceLimitError`` before allocating anything. The
-next three rely on two bounds, slcs(min(f1, f2)) <= indseglcs(f1, f2) <=
-LCS(t1, t2), since one shared segmentation fits both budgets and any common
-string is a common subsequence. The classic LCS is bit-parallel over t1
-(Hyyro 2004), and it is the answer outright when both budgets are saturated
-(g1 = g2 = 0). Otherwise, as a certificate, one LCS string is traced back
-over the bit-parallel rows; when it embeds in t1 within f1 pieces and in t2
-within f2, it is a longest common string within both budgets, and the LCS is
-the answer with no table. The rows, one int of n1 bits per symbol of t2, are
-kept only where they take no more bytes than the five diagonals; otherwise
-this exit is skipped. The lower bound, ``slcs_baseline`` at f = min(f1, f2)
-clamped, fills f*n1*n2 cells; it runs only when f <= 4 * (g1 + 1) * (g2 + 1),
-so that it never costs more than the tables'
+``indseglcs`` takes six steps in order, and each may end the call: the
+allocation check, saturated budgets, the certificate, the search, the slcs
+bound and the band. First it sizes those buffers: a solve whose buffers would
+exceed physical memory raises ``ResourceLimitError`` before allocating
+anything. The next steps rely on two bounds, slcs(min(f1, f2)) <=
+indseglcs(f1, f2) <= LCS(t1, t2), since one shared segmentation fits both
+budgets and any common string is a common subsequence. The classic LCS is
+bit-parallel over t1 (Hyyro 2004), and it is the answer outright when both
+budgets are saturated (g1 = g2 = 0). Otherwise, as a certificate, one LCS
+string is traced back over the bit-parallel rows; when it embeds in t1
+within f1 pieces and in t2 within f2, it is a longest common string within
+both budgets, and the LCS is the answer with no table. The rows, one int of
+n1 bits per symbol of t2, are kept only where they take no more bytes than
+the five diagonals; otherwise this exit and the next are skipped. When the
+traced string does not fit, ``_near_lcs`` searches the chains of matches
+for lengths LCS, LCS - 1, ... in turn, each time only among the matches
+that a chain of that length can use, and returns the first length that
+fits both budgets. It holds no more matches and states than fit in what the
+rows leave of the diagonals, at about ``ITEM_BYTES`` each, and takes at most
+64 steps per anti-diagonal of the fill; past either limit it gives up and
+the bound and the band decide. The lower bound, ``slcs_baseline`` at
+f = min(f1, f2) clamped, fills f*n1*n2 cells; it runs only when
+f <= 4 * (g1 + 1) * (g2 + 1), so that it never costs more than the tables'
 4 * n1 * n2 * (g1 + 1) * (g2 + 1). When it reaches the LCS, no table is
 filled. Otherwise the fill is banded after Ukkonen (1985): an answer of at
 least ell embeds along a path on which -(n2 - ell) <= i1 - i2 <= n1 - ell,
@@ -183,6 +190,98 @@ def _lcs_string(t1: bytes, t2: bytes) -> bytes:
     return bytes(out[::-1])
 
 
+# bytes held per match or state of the search: a tuple in a list, and for a
+# state also the int of its piece counts, whose bits come on top
+ITEM_BYTES = 192
+
+
+def _near_lcs(
+    t1: bytes, t2: bytes, f1: int, f2: int, room: int, steps: int
+) -> int | None:
+    """The answer by a search over chains of matches, trying each length
+    from the LCS down; None once the search would hold more than ``room``
+    matches and states or take more than ``steps`` steps (a match, a state
+    or a predecessor compared).
+
+    A common string of length T is a chain of T matches t1[i-1] == t2[j-1]
+    increasing in i and in j, and its pieces in a text are one plus the
+    chain's gaps there. A match with a matches before it and b after it
+    (read off the bit-parallel rows of the texts and of their reversals)
+    can only be the r-th of T where T - b <= r <= a + 1, so the search for
+    T = LCS - k takes only the matches whose a + 1 + b falls at most k short
+    of the LCS. It keeps, for each match and r, the piece counts (p1, p2)
+    that chains ending there reach, closed upward and clipped to the budgets,
+    as bit (p1 - 1) * f2 + (p2 - 1) of an int; the next match adds a piece
+    on each side where it is not adjacent. The first T with a chain is the
+    answer.
+    """
+    n1, n2 = len(t1), len(t2)
+    full = (1 << f1 * f2) - 1
+    inner = full & ~sum(1 << k * f2 for k in range(f1))  # clears p2 = 1
+    where: dict[int, list[int]] = {}
+    for i, c in enumerate(t1, 1):
+        where.setdefault(c, []).append(i)
+    held = spent = sum(len(where.get(c, ())) for c in t2)
+    if held > room or spent > steps:
+        return None
+    back = list(_lcs_rows(t1[::-1], t2[::-1]))
+    lcs = n1 - back[-1].bit_count()
+    # the matches (j, i, a, b) by how far a + 1 + b falls short of the LCS
+    short: dict[int, list[tuple[int, int, int, int]]] = {}
+    for j, (row, c) in enumerate(zip(_lcs_rows(t1, t2), t2), 1):
+        after = back[n2 - j]
+        for i in where.get(c, ()):
+            a = i - 1 - (row & ((1 << (i - 1)) - 1)).bit_count()
+            b = n1 - i - (after & ((1 << (n1 - i)) - 1)).bit_count()
+            short.setdefault(lcs - 1 - a - b, []).append((j, i, a, b))
+    kept: list[tuple[int, int, int, int]] = []
+    for length in range(lcs, 0, -1):
+        kept += short.get(lcs - length, ())
+        # each kept match takes part at every r its bounds allow
+        states = sum(min(a + 1, length) - max(1, length - b) + 1
+                     for _, _, a, b in kept)
+        spent += states
+        if held + states > room or spent > steps:
+            return None
+        kept.sort()  # by j, then i
+        levels: list[list[tuple[int, int]]] = [[] for _ in range(length + 1)]
+        for j, i, a, b in kept:
+            for r in range(max(1, length - b), min(a + 1, length) + 1):
+                levels[r].append((i, j))
+        prev = [(i, j, full) for i, j in levels[1]]
+        for level in levels[2:]:
+            if not prev:
+                break
+            cur = []
+            for i, j in level:
+                if spent > steps:
+                    return None
+                # predecessors by adjacency: both, in t1 only, in t2 only, none
+                both = first = second = apart = 0
+                for i0, j0, s in prev:
+                    spent += 1
+                    if j0 >= j:
+                        break
+                    if i0 < i - 1:
+                        if j0 < j - 1:
+                            apart |= s
+                        else:
+                            second |= s
+                    elif i0 == i - 1:
+                        if j0 < j - 1:
+                            first |= s
+                        else:
+                            both |= s
+                s = (both | ((first << 1) & inner)
+                     | (((second | ((apart << 1) & inner)) << f2) & full))
+                if s:
+                    cur.append((i, j, s))
+            prev = cur
+        if prev:
+            return length
+    return 0
+
+
 def indseglcs(
     t1: bytes | str,
     t2: bytes | str,
@@ -207,10 +306,18 @@ def indseglcs(
         return _lcs_length(t1, t2)  # both budgets saturated
     # a row, an int of n1 bits and its list slot, takes at most 36 + n1/7.5
     # bytes; the rows are kept only where they take no more than the diagonals
-    if (n2 + 1) * (36 + n1 / 7.5) <= diagonals:
+    rows = (n2 + 1) * (36 + n1 / 7.5)
+    if rows <= diagonals:
         common = _lcs_string(t1, t2)
         if sege(t1, common, cfg1.f) and sege(t2, common, cfg2.f):
             return len(common)  # a longest common string within both budgets
+        # the search holds no more than the rows leave of the diagonals, and
+        # stops within 64 steps, some 20 us, per anti-diagonal of the fill
+        item = ITEM_BYTES + cfg1.f * cfg2.f // 8
+        found = _near_lcs(t1, t2, cfg1.f, cfg2.f, int((diagonals - rows) / item),
+                          64 * (n1 + n2 + 1))
+        if found is not None:
+            return found
         upper = len(common)
     else:
         upper = _lcs_length(t1, t2)

@@ -12,6 +12,7 @@ from segsub.independent import (
     _fill,
     _lcs_length,
     _lcs_string,
+    _near_lcs,
     indseglcs,
     segmentation_score,
     side_config,
@@ -440,20 +441,14 @@ class TestCertificate:
         _refuse_tables(monkeypatch)
         assert [indseglcs(*pair, f, f) for pair in pairs] == want
 
-    def test_miss_below_lcs_returns_table_answer(self, monkeypatch):
-        # the LCS is 15, but no common string of that length fits 6 pieces
+    def test_miss_below_lcs_needs_no_tables(self, monkeypatch):
+        # the LCS is 15, but no common string of that length fits 6 pieces;
+        # the search over chains of matches finds 14
         t1, t2 = b"cdcaadbdaaddaadbbaddacda", b"cdabbdbcaacabdbacbcadcad"
         assert not _certified(t1, t2, 6, 6)
-        fills = []
-
-        def spy(*args):
-            fills.append(_fill(*args))
-            return fills[-1]
-
-        monkeypatch.setattr(independent, "_fill", spy)
-        assert indseglcs(t1, t2, 6, 6) == 14 < classic_lcs_len(t1, t2) == 15
-        assert fills == [14]
         assert table_fills(t1, t2, 6, 6) == [14] * 3
+        _refuse_tables(monkeypatch)
+        assert indseglcs(t1, t2, 6, 6) == 14 < classic_lcs_len(t1, t2) == 15
 
     def test_kept_rows_stay_within_the_diagonals(self, monkeypatch):
         # n = 2001 at f = 1000 is the score family at g = 1 on both sides:
@@ -483,6 +478,119 @@ class TestCertificate:
         monkeypatch.setattr(independent, "_lcs_string", refuse)
         assert indseglcs(t1, t2, 1, 50) == want
         assert indseglcs(t2, t1, 50, 1) == want
+
+
+def _near(t1, t2, f1, f2, room=10**9, steps=10**9):
+    """The search's answer, t1 the shorter text, budgets clamped as the
+    solver clamps them."""
+    if len(t1) > len(t2):
+        t1, t2, f1, f2 = t2, t1, f2, f1
+    cfg1, cfg2 = side_config(len(t1), f1), side_config(len(t2), f2)
+    return _near_lcs(t1, t2, cfg1.f, cfg2.f, room, steps)
+
+
+class TestNearLcsSearch:
+    """The search over chains of matches, from the LCS down, is exact."""
+
+    def test_matches_bruteforce_at_oracle_cap(self):
+        rng = random.Random(50)
+        for case in range(200):
+            k = rng.choice((1, 2, 3))
+            if case % 2:
+                t1, t2 = _near_copy(rng, rng.randint(1, 14), k)
+            else:
+                t1 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(0, 14)))
+                t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(0, 14)))
+            f1, f2 = rng.randint(1, 5), rng.randint(1, 5)
+            want = indseglcs_bruteforce(t1, t2, f1, f2)
+            assert _near(t1, t2, f1, f2) == want, (t1, t2, f1, f2)
+            if len(t1) <= len(t2):  # budgets above ceil(n/2) change nothing
+                assert _near_lcs(t1, t2, f1 + 3, f2 + 3, 10**9, 10**9) == \
+                    indseglcs_bruteforce(t1, t2, f1 + 3, f2 + 3)
+
+    def test_matches_full_tables_above_oracle_cap(self):
+        rng = random.Random(51)
+        answered = gave_up = 0
+        for case in range(40):
+            n1, n2 = rng.randint(24, 70), rng.randint(24, 70)
+            k = rng.choice((2, 3, 4, 8, 26))
+            t1 = bytes(97 + rng.randrange(k) for _ in range(n1))
+            t2 = bytes(97 + rng.randrange(k) for _ in range(n2))
+            f1, f2 = rng.randint(1, n1 // 3), rng.randint(1, n2 // 3)
+            found = _near(t1, t2, f1, f2, steps=64 * (n1 + n2 + 1))
+            if found is None:
+                gave_up += 1
+            else:
+                answered += 1
+                assert found == table_fills(t1, t2, f1, f2)[0], (t1, t2, f1, f2)
+        assert answered and gave_up
+
+    def test_limits_end_the_search(self):
+        t1, t2 = b"cdcaadbdaaddaadbbaddacda", b"cdabbdbcaacabdbacbcadcad"
+        assert _near(t1, t2, 6, 6) == 14
+        # the pair has 144 matches, each held and each a step
+        assert _near(t1, t2, 6, 6, room=143) is None
+        assert _near(t1, t2, 6, 6, steps=143) is None
+        assert _near(t1, t2, 6, 6, steps=600) == 14
+        assert _near(b"ab", b"cd", 1, 1) == 0
+
+    def test_uniform_misses_need_no_tables(self, monkeypatch):
+        # pairs like the benchmark's: n = 24 over 4 symbols at f = 6, where the
+        # traced LCS string often needs more pieces than the budget
+        rng = random.Random(49)
+        cases = []
+        for _ in range(40):
+            t1 = bytes(97 + rng.randrange(4) for _ in range(24))
+            t2 = bytes(97 + rng.randrange(4) for _ in range(24))
+            if not _certified(t1, t2, 6, 6):
+                cases.append((t1, t2, table_fills(t1, t2, 6, 6)[0]))
+        assert len(cases) >= 10
+        assert any(want < classic_lcs_len(t1, t2) for t1, t2, want in cases)
+        _refuse_tables(monkeypatch)
+        for t1, t2, want in cases:
+            assert indseglcs(t1, t2, 6, 6) == want, (t1, t2)
+
+    def test_search_giving_up_falls_back_to_tables(self, monkeypatch):
+        # the answer, 9, is far below the LCS, 16, for the search's limits
+        t1, t2 = b"cbcbdbbadbbbdbaadabdbbacccab", b"ccacbcdbbdcacaccdaabbcdcdaac"
+        searched, fills = [], []
+
+        def search(*args):
+            searched.append(_near_lcs(*args))
+            return searched[-1]
+
+        def spy(*args):
+            fills.append(_fill(*args))
+            return fills[-1]
+
+        monkeypatch.setattr(independent, "_near_lcs", search)
+        monkeypatch.setattr(independent, "_fill", spy)
+        assert indseglcs(t1, t2, 2, 2) == 9 < classic_lcs_len(t1, t2) == 16
+        assert searched == [None]
+        assert fills == [9]
+        assert table_fills(t1, t2, 2, 2) == [9] * 3
+
+    @pytest.mark.parametrize("n1, n2, alphabet, f", [(24, 24, 4, 2), (40, 300, 2, 3),
+                                                    (60, 90, 26, 5)])
+    def test_search_stays_within_the_diagonals(self, monkeypatch, n1, n2, alphabet, f):
+        rng = random.Random(f"held-{n1}-{n2}")
+        t1 = bytes(97 + rng.randrange(alphabet) for _ in range(n1))
+        t2 = bytes(97 + rng.randrange(alphabet) for _ in range(n2))
+        peaks = []
+
+        def search(*args):
+            tracemalloc.start()
+            try:
+                return _near_lcs(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(independent, "_near_lcs", search)
+        assert indseglcs(t1, t2, f, f) == table_fills(t1, t2, f, f)[0]
+        cfg1, cfg2 = side_config(n1, f), side_config(n2, f)
+        assert len(peaks) == 1
+        assert peaks[0] <= 80 * (n1 + 1) * (cfg1.g + 1) * (cfg2.g + 1)
 
 
 def test_metamorphic_properties():
