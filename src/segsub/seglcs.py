@@ -214,23 +214,22 @@ def slcs_witness(
     segments: list[bytes] = []
     starts1: list[int] = []
     starts2: list[int] = []
-    # value is C(i, h, j), so while it is positive so are i and j
+    # value is C(i, h, j), so while it is positive so are i, j and h
     i, j, h, value = n1, n2, f_used, length
-    while h > 0 and value > 0:
+    while value > 0:
         if not bits[start(i, h) + (j - 1) // 8] >> (7 - (j - 1) % 8) & 1:
             j -= 1
         elif cell(i - 1, h, j) == value:
             i -= 1
         else:
-            x = 0  # lcsuf(i, j), walked back over the texts
+            x = 0  # lcsuf(i, j) >= 1 (neither left nor up), walked back
             while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
                 x += 1
             value -= x
             assert value == cell(i - x, h - 1, j - x)
-            if x > 0:
-                segments.append(t1[i - x : i])
-                starts1.append(i - x + 1)
-                starts2.append(j - x + 1)
+            segments.append(t1[i - x : i])
+            starts1.append(i - x + 1)
+            starts2.append(j - x + 1)
             i -= x
             j -= x
             h -= 1
@@ -322,17 +321,15 @@ class _Columns:
             # L(h, i, s) with i = s + diag is the first j >= the pointer
             # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
             # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
-            # t2[j] == t1[i] (= a), so only those j are queried
+            # t2[j] == t1[i] (= a), so only those j are queried; j <= stop, as
+            # j - 1 = L(h, i, s-1) <= L(h, i-1, s-1) < L(h, i-1, s) = stop
             stop = left[s] if s < n_left else inf
             if stop == j:
                 cand = 0
+            elif t2[j - 1] == a:
+                cand = j
             else:
-                if stop < j:
-                    stop = inf  # the pointer is already past L(h, i-1, s)
-                if j < stop and t2[j - 1] == a:
-                    cand = j
-                else:
-                    cand = find(a, j - 1, stop - 1) + 1  # 0 when none
+                cand = find(a, j - 1, stop - 1) + 1  # 0 when none
             while cand:
                 # Two exact tests spare most range minima. First,
                 # x + L(h-1, i-x, s-x) never grows with x (dropping the
@@ -407,7 +404,7 @@ def _levels(
             stats.cell_visits += visits
             stats.lcsuf_lookups += columns.lookups
         columns.lookups = 0
-        if h > 1 and level == below:
+        if level == below:  # at h = 1 only when n1 = 0, so f = 1
             # level h+1 would be computed from level h exactly as level h
             # was from level h-1, so every deeper level repeats level h
             for _ in range(h, f + 1):

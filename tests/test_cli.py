@@ -238,14 +238,15 @@ def test_replay_command_per_kind(kind, budgets, algorithm, argv):
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 def test_replay_texts_survive_the_shell():
-    # a NUL byte, a leading "@" or "-" and trailing line ends cannot pass as
-    # they are
+    # a NUL byte, a leading "@" or "-", trailing line ends and an ASCII
+    # control byte cannot pass as they are, and the command stays one line
     env = {**os.environ, "PYTHONPATH": str(Path(segsub.__file__).parents[1])}
-    for text in (b"@" + bytes(range(256)) + b"\r\n", b"-ab"):
+    for text in (b"@" + bytes(range(256)) + b"\r\n", b"-ab", b"a\nb"):
         m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
         command = _replay_command(m).replace(
             "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
         ).replace(" --algo baseline", " --witness")
+        assert "\n" not in command, text
         done = subprocess.run(["bash", "-c", command + " --json"],
                               capture_output=True, env=env, timeout=60)
         assert done.returncode == 0, (text, done.stderr)

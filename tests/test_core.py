@@ -51,6 +51,9 @@ class TestVerifyEmbedding:
         assert not embed(b"abc", [b"a"], [0])
         assert not embed(b"abc", [b"a"], [5])
         assert not embed(b"abc", [b"bc"], [3])
+        # True == 1.0 == 1 would place b"a" correctly, but a start is an int
+        assert not embed(b"abc", [b"a"], [True])
+        assert not embed(b"abc", [b"a"], [1.0])
 
     def test_arity_mismatch(self):
         assert not embed(b"abc", [b"a", b"b"], [1])
@@ -75,6 +78,9 @@ def test_as_text_coercions():
     assert as_text(bytearray(b"xy")) == b"xy"
     with pytest.raises(TypeError):
         as_text(123)
+    assert as_text("\xff") == b"\xff"
+    with pytest.raises(ValueError):
+        as_text("a\u0100")  # one symbol above U+00FF
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 1.5, None])

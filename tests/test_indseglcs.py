@@ -428,7 +428,8 @@ class TestCertificate:
     @pytest.mark.parametrize("n, alphabet", [(80, 2), (80, 26), (100, 4)])
     def test_skipped_bound_needs_no_tables(self, monkeypatch, n, alphabet):
         # f = n/2 - 1 is the score family at g = 2, where the slcs bound's
-        # f*n1*n2 cells are deemed dearer than the tables and it does not run
+        # f*n1*n2 cells outnumber the tables' 4*n1*n2*(g1 + 1)*(g2 + 1); the
+        # certificate settles these calls before either runs
         f = n // 2 - 1
         assert f > 4 * (side_config(n, f).g + 1) ** 2
         rng = random.Random(f"skipped-{n}-{alphabet}")

@@ -481,6 +481,7 @@ class TestWitness:
             assert len(seg.pattern) == length
             if length:
                 assert seg.segment_count <= f
+                assert all(seg.segments)  # every piece comes from a match
             assert verify_embedding(t1, e1)
             assert verify_embedding(t2, e2)
 
@@ -860,13 +861,15 @@ def test_scattered_edits_resume_the_scan_after_the_lead():
             assert value == full[h][i][s], (t1, t2, h, i, s)
 
 
-def _uniform_tail_and_scattered_pairs(rng: random.Random, count: int):
-    """``count`` pairs of at most 40 symbols over 1-4 symbols, in turn:
-    uniform, up to three tail edits, and one to four substitutions at
+def _uniform_tail_and_scattered_pairs(
+    rng: random.Random, count: int, longest: int = 40
+):
+    """``count`` pairs of at most ``longest`` symbols over 1-4 symbols, in
+    turn: uniform, up to three tail edits, and one to four substitutions at
     random positions."""
     for case in range(count):
-        kind, n, alphabet = case % 3, rng.randint(1, 40), rng.randint(1, 4)
-        lengths = (n, n if kind else rng.randint(0, 40))
+        kind, n, alphabet = case % 3, rng.randint(1, longest), rng.randint(1, 4)
+        lengths = (n, n if kind else rng.randint(0, longest))
         similarity = rng.randint(0, 3) if kind == 1 else None
         t1, t2 = generate_instance(
             lengths, alphabet=alphabet, seed=rng.randrange(1 << 30), similarity=similarity
@@ -901,6 +904,21 @@ def test_column_function_refills_every_stored_column():
                 up = levels[h - 2][diag] if h > 1 else [0]
                 got = columns.column(h, diag, left, _lead(left), up, _lead(up))
                 assert got == (stored, _lead(stored)), (t1, t2, h, diag)
+
+
+def test_prefix_lengths_rise_strictly_with_the_common_length():
+    # L(h, i-1, s) > L(h, i-1, s-1): so the scan pointer, one past
+    # L(h, i, s-1) <= L(h, i-1, s-1), never passes the left column's cell
+    rng = random.Random(36)
+    after_lead = 0
+    for t1, t2 in _uniform_tail_and_scattered_pairs(rng, 300, longest=60):
+        for _, level in diagonal_levels(t1, t2, rng.randint(1, 12)):
+            for diag in range(1, len(level)):
+                left, column = level[diag - 1], level[diag]
+                for s in range(1, min(len(left), len(column) + 1)):
+                    assert left[s] > column[s - 1], (t1, t2, diag, s)
+                after_lead += _lead(column) + 1 < len(left)
+    assert after_lead
 
 
 def test_no_level_fills_more_diagonals_than_the_level_below():
