@@ -37,9 +37,11 @@ that a chain of that length can use, and returns the first length that
 fits both budgets. It holds no more matches and states than fit in what the
 rows leave of the diagonals, at about ``ITEM_BYTES`` each, and takes at most
 64 steps per anti-diagonal of the fill; past either limit it gives up and
-the bound and the band decide. The lower bound is ``slcs_baseline`` at
-f = min(f1, f2) clamped; when it reaches the LCS, no table is filled.
-Otherwise the fill is banded after Ukkonen (1985): an answer of at
+the bound and the band decide. The lower bound, ``slcs_baseline`` at
+f = min(f1, f2) clamped, fills f*n1*n2 cells; it runs only when
+f <= 4 * (g1 + 1) * (g2 + 1), so that it never costs more than the tables'
+4 * n1 * n2 * (g1 + 1) * (g2 + 1). When it reaches the LCS, no table is
+filled. Otherwise the fill is banded after Ukkonen (1985): an answer of at
 least ell embeds along a path on which -(n2 - ell) <= i1 - i2 <= n1 - ell,
 because the matches still to come must fit in the rest of both texts. Each
 diagonal fills only its rows in that band, and the one row past either end
@@ -319,9 +321,12 @@ def indseglcs(
         upper = len(common)
     else:
         upper = _lcs_length(t1, t2)
-    ell = slcs_baseline(t1, t2, min(cfg1.f, cfg2.f))
-    if ell == upper:
-        return ell
+    ell = 0
+    f = min(cfg1.f, cfg2.f)
+    if f <= 4 * planes:  # the bound's f*n1*n2 cells cost at most the tables'
+        ell = slcs_baseline(t1, t2, f)
+        if ell == upper:
+            return ell
     return _fill(t1, t2, cfg1, cfg2, ell)
 
 

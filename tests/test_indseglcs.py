@@ -428,8 +428,7 @@ class TestCertificate:
     @pytest.mark.parametrize("n, alphabet", [(80, 2), (80, 26), (100, 4)])
     def test_skipped_bound_needs_no_tables(self, monkeypatch, n, alphabet):
         # f = n/2 - 1 is the score family at g = 2, where the slcs bound's
-        # f*n1*n2 cells outnumber the tables' 4*n1*n2*(g1 + 1)*(g2 + 1); the
-        # certificate settles these calls before either runs
+        # f*n1*n2 cells are deemed dearer than the tables and it does not run
         f = n // 2 - 1
         assert f > 4 * (side_config(n, f).g + 1) ** 2
         rng = random.Random(f"skipped-{n}-{alphabet}")
@@ -479,6 +478,26 @@ class TestCertificate:
         monkeypatch.setattr(independent, "_lcs_string", refuse)
         assert indseglcs(t1, t2, 1, 50) == want
         assert indseglcs(t2, t1, 50, 1) == want
+
+    def test_dear_bound_is_skipped_where_no_rows_are_kept(self, monkeypatch):
+        # 401 rows of about 41.5 bytes outweigh the diagonals' 80 bytes per
+        # row of t1 and (g1 + 1) * (g2 + 1) = 2 planes, and f = 20 > 4 * 2:
+        # the bound's f*n1*n2 cells are dearer than the tables, so only the
+        # tables run, at ell = 0
+        def refuse(*args):
+            raise AssertionError("neither the certificate nor the bound runs")
+
+        rng = random.Random(48)
+        t1 = bytes(97 + rng.randrange(4) for _ in range(41))
+        t2 = bytes(97 + rng.randrange(4) for _ in range(400))
+        cfg1, cfg2 = side_config(41, 20), side_config(400, 200)
+        planes = (cfg1.g + 1) * (cfg2.g + 1)
+        assert 401 * (36 + 41 / 7.5) > 80 * 42 * planes and 20 > 4 * planes
+        want = table_fills(t1, t2, 20, 200)[0]
+        monkeypatch.setattr(independent, "_lcs_string", refuse)
+        monkeypatch.setattr(independent, "slcs_baseline", refuse)
+        assert indseglcs(t1, t2, 20, 200) == want
+        assert indseglcs(t2, t1, 200, 20) == want
 
 
 def _near(t1, t2, f1, f2, room=10**9, steps=10**9):
