@@ -15,17 +15,18 @@ diagonal (i - s = const) at a time with a non-resetting scan pointer over
 the longer text, skipping whole diagonals that can no longer improve the
 answer; when the solution is long it touches only a sliver of each table.
 It is a generator: it yields each level with the answer at its budget and
-keeps only the level below the one it fills. ``slcs_diagonal`` drains it
-for the last answer; the CLI's table dump keeps every level. Two exact
-tests settle most of its lcsuf lookups, and the ``LcsufIndex`` is built
-only at the first lookup they leave, so similar texts often need no index
-at all.
+keeps only the level below the one it fills. ``slcs_diagonal`` drains the
+same levels for the last answer; the CLI's table dump keeps every level.
+Two exact tests settle most of its lcsuf lookups, and the ``LcsufIndex`` is
+built only at the first lookup they leave, so similar texts often need no
+index at all.
 
 Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
-its lead, and the diagonal solver scans only the cells after it, like the
-snakes of Myers' O(ND) diff; ``_Columns.column`` gives the lead's bounds.
-On texts that share long runs most cells lie in leads, and a level at its
-fixed point shares most cells with the level below.
+its lead, like the snakes of Myers' O(ND) diff. A column stores only its
+tail, the cells after its lead, and the diagonal solver scans only those;
+``_Columns.column`` gives the lead's bounds. On texts that share long runs
+most cells lie in leads, so a column costs time and memory for its tail
+alone; ``diagonal_levels`` writes the leads out for the levels it yields.
 
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
@@ -254,14 +255,15 @@ def diagonal_levels(
 
     Level h lists one column per diagonal it filled: column diag holds
     L(s+diag, s, h) for s = 0, 1, ..., and a trailing entry past the longer
-    text, when present, marks the cell whose scan exhausted it. Only the
-    level below and the level being filled are held here, so a caller that
-    drops each yielded level keeps two. From the fixed point on, every
-    deeper budget yields the same answer and list. The counters of each
-    filled level go to ``stats``. ``_Columns.column`` fills each column.
+    text, when present, marks the cell whose scan exhausted it. The solver
+    holds the level below and the level being filled as the tails of their
+    columns, and each yielded level is written out in full once. From the
+    fixed point on, every deeper budget yields the same answer and list.
+    The counters of each filled level go to ``stats``. ``_Columns.column``
+    fills each column.
     """
     t1, t2, f, _ = _oriented(t1, t2, f)
-    return _levels(t1, t2, f, stats)
+    return _written_out(_levels(t1, t2, f, stats))
 
 
 class _Columns:
@@ -279,18 +281,18 @@ class _Columns:
 
     def column(self, h: int, diag: int, left: list[int], left_lead: int,
                up: list[int], up_lead: int) -> tuple[list[int], int]:
-        """Column diag of level h and its lead, from ``left``, L(h, diag-1, .),
-        and ``up``, L(h-1, diag, .), with their leads; [0] with lead 0 stands
-        in for a missing column, and a read past a column's end is infinite.
+        """Column diag of level h, from ``left``, L(h, diag-1, .), and ``up``,
+        L(h-1, diag, .). A column is a pair (tail, lead): cells 0..lead hold
+        L = s and are not stored, and the tail holds the cells from lead+1
+        on. ([], 0) stands in for a missing column, and a read past a
+        column's end is infinite.
 
         L(h, i, s) >= s, and L = s on a prefix of the diagonal, its lead. It is
         at least the lead of ``left`` (L never grows with i), which ends before
         this column does, or the answer would have stopped the scan; at h > 1
         the lead of ``up`` (L never grows with h); at h = 1 the common prefix
-        of t2 and t1[diag:]. Cells 0..prior of the column whose lead bounds it
-        hold 0..prior, and the lead copies them, shared; only a common prefix
-        past the left lead makes new cells. The lead also takes in the cells
-        with L = s that the scan finds.
+        of t2 and t1[diag:]. The scan fills the tail, and the lead also takes
+        in the cells with L = s that the scan finds.
         """
         t1, t2, before, index = self.t1, self.t2, self.before, self.index
         if index is not None:
@@ -298,9 +300,10 @@ class _Columns:
         inf = len(t2) + 1
         find = t2.find
         end = len(t1) - diag
-        n_left, n_up = len(left), len(up)
-        source, lead = (up, up_lead) if up_lead > left_lead else (left, left_lead)
-        prior = lead
+        # where each neighbour's tail starts, and one past its last cell
+        left_at, up_at = left_lead + 1, up_lead + 1
+        n_left, n_up = left_at + len(left), up_at + len(up)
+        lead = max(left_lead, up_lead)
         if (h == 1 and t1[diag + lead] == t2[lead]
                 and t1.startswith(t2[: lead + 1], diag)):
             lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
@@ -311,8 +314,7 @@ class _Columns:
                 else:
                     hi = mid - 1
             lead = lo
-        column = source[: prior + 1]
-        column += range(prior + 1, lead + 1)
+        tail: list[int] = []
         j = lead + 1  # the scan pointer never moves back along a diagonal
         lookups = 0
         for s, a, b in zip(
@@ -322,8 +324,9 @@ class _Columns:
             # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
             # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
             # t2[j] == t1[i] (= a), so only those j are queried; j <= stop, as
-            # j - 1 = L(h, i, s-1) <= L(h, i-1, s-1) < L(h, i-1, s) = stop
-            stop = left[s] if s < n_left else inf
+            # j - 1 = L(h, i, s-1) <= L(h, i-1, s-1) < L(h, i-1, s) = stop;
+            # s > lead >= left_lead, so stop is in the left tail or past it
+            stop = left[s - left_at] if s < n_left else inf
             if stop == j:
                 cand = 0
             elif t2[j - 1] == a:
@@ -335,12 +338,12 @@ class _Columns:
                 # x + L(h-1, i-x, s-x) never grows with x (dropping the
                 # last common symbol of a level h-1 solution shortens
                 # both prefixes by one), so when x = 1 passes, the full
-                # lcsuf passes too; up[0] = 0 passes every s = 1. Second,
-                # lcsuf is 1, which has just failed, when the symbols
-                # before t1[i] and t2[cand] differ: b and t2[cand-1]
-                # (cand = 1 reads t2[-1]; should it equal b, the range
-                # minimum still gives 1).
-                if s <= n_up and cand > up[s - 1]:
+                # lcsuf passes too; cand >= j >= s passes every up cell
+                # s - 1 in the lead. Second, lcsuf is 1, which has just
+                # failed, when the symbols before t1[i] and t2[cand]
+                # differ: b and t2[cand-1] (cand = 1 reads t2[-1]; should
+                # it equal b, the range minimum still gives 1).
+                if s <= up_at or (s <= n_up and cand > up[s - 1 - up_at]):
                     break
                 if t2[cand - 2] == b:
                     # range minimum of the LCP array between the ranks
@@ -356,49 +359,52 @@ class _Columns:
                     y = levels[k][hi - (1 << k)]
                     if y < x:
                         x = y
-                    # s - x <= 0 reads L(., ., 0) = 0, which any j >= x passes
-                    if x >= s or (s - x < n_up and cand >= x + up[s - x]):
+                    # an up cell s - x in the lead (s - x <= 0 included)
+                    # holds s - x, which cand >= s passes
+                    s_up = s - x
+                    if s_up < up_at or (s_up < n_up and cand >= x + up[s_up - up_at]):
                         break
                 cand = find(a, cand, stop - 1) + 1
             value = cand or stop
-            column.append(value)
+            tail.append(value)
             if value == inf:
                 break  # deeper cells on this diagonal are infinite as well
             j = value + 1
         self.lookups += lookups
-        last = len(column) - 1
-        while lead < last and column[lead + 1] == lead + 1:
-            lead += 1
-        return column, lead
+        grown = 0  # the tail's first cells with L = s join the lead
+        while grown < len(tail) and tail[grown] == lead + 1 + grown:
+            grown += 1
+        del tail[:grown]
+        return tail, lead + grown
 
 
 def _levels(
     t1: bytes, t2: bytes, f: int, stats: SolveStats | None
-) -> Iterator[tuple[int, list[list[int]]]]:
-    """The generator behind ``diagonal_levels``, on oriented texts: it runs
-    ``_Columns.column`` level by level, diagonal by diagonal."""
+) -> Iterator[tuple[int, list[tuple[list[int], int]]]]:
+    """The generator behind ``slcs_diagonal`` and ``diagonal_levels``, on
+    oriented texts: it runs ``_Columns.column`` level by level, diagonal by
+    diagonal, and yields each level as its columns' (tail, lead) pairs."""
     n1, n2 = len(t1), len(t2)
     inf = n2 + 1
     columns = _Columns(t1, t2)
     column = columns.column
-    below: list[list[int]] = []
-    below_leads: list[int] = []
+    missing: tuple[list[int], int] = ([], 0)
+    below: list[tuple[list[int], int]] = []
     for h in range(1, f + 1):
-        level: list[list[int]] = []
-        leads: list[int] = []
+        level: list[tuple[list[int], int]] = []
         best = visits = diag = 0
-        left, lead = [0], 0
+        left, lead = missing
         while diag < n1 - best:
             # below[diag] exists: on every prefix of the diagonals level h's
             # answer is at least level h-1's, so level h stops no later
-            up, up_lead = (below[diag], below_leads[diag]) if h > 1 else ([0], 0)
-            left, lead = column(h, diag, left, lead, up, up_lead)
-            level.append(left)
-            leads.append(lead)
+            up, up_lead = below[diag] if h > 1 else missing
+            left, lead = pair = column(h, diag, left, lead, up, up_lead)
+            level.append(pair)
             # each finite cell moved the pointer from j to its value + 1, so the
             # scan visited up to the last finite value, or all of t2 at an inf
-            visits += min(left[-1], n2)
-            best = max(best, len(left) - 1 - (left[-1] == inf))
+            last = left[-1] if left else lead
+            visits += min(last, n2)
+            best = max(best, lead + len(left) - (last == inf))
             diag += 1
         if stats is not None:
             stats.cell_visits += visits
@@ -411,7 +417,21 @@ def _levels(
                 yield best, level
             return
         yield best, level
-        below, below_leads = level, leads
+        below = level
+
+
+def _written_out(
+    levels: Iterator[tuple[int, list[tuple[list[int], int]]]]
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """Each level of ``levels`` with its columns written out in full, lead
+    cells 0..lead first; a level repeated past the fixed point is written
+    out once and yielded as that same list."""
+    pairs = shown = None
+    for best, level in levels:
+        if level is not pairs:
+            pairs = level
+            shown = [list(range(lead + 1)) + tail for tail, lead in level]
+        yield best, shown
 
 
 def slcs_diagonal(
@@ -421,6 +441,7 @@ def slcs_diagonal(
     stats: SolveStats | None = None,
 ) -> int:
     """Segmental LCS length via the sparse diagonal tables."""
-    for answer, _ in diagonal_levels(t1, t2, f, stats):
+    t1, t2, f, _ = _oriented(t1, t2, f)
+    for answer, _ in _levels(t1, t2, f, stats):
         pass
     return answer

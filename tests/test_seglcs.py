@@ -818,22 +818,24 @@ def test_leads_match_shortest_prefix_tables(case):
         assert value == full[hh][i][s], (hh, i, s)
 
 
-def test_leads_share_the_cells_of_the_column_that_bounds_them():
-    # a tail-edit near copy at n = 600, past the ints CPython caches (<= 256),
-    # so a lead built anew holds new int objects and a copied one the same
+def test_columns_store_only_the_cells_past_their_lead():
+    # a tail-edit near copy: every column's lead is the n - 2 symbols that
+    # t1 and t2 share, so the solver stores a few cells per column, and
+    # diagonal_levels writes the lead's cells out in front of each tail
     n = 600
     t1, t2 = generate_instance((n, n), alphabet=8, seed=3, similarity=2)
-    answers, levels = drain_diagonal(t1, t2, 4)
-    assert answers[-1] == slcs_baseline(t1, t2, 4) == n - 2
-    lead = n - 2  # every column's: t1 and t2 share their first n - 2 symbols
-    for level in levels:
-        for column in level:
+    short, long, f, _ = seglcs_module._oriented(t1, t2, 4)
+    stored = seglcs_module._levels(short, long, f, None)
+    answers = []
+    for (answer, level), (_, pairs) in zip(diagonal_levels(t1, t2, 4), stored):
+        answers.append(answer)
+        assert len(level) == len(pairs)
+        for column, (tail, lead) in zip(level, pairs):
+            assert lead == n - 2 and len(tail) <= 2
+            assert tail[:1] != [lead + 1]  # such a cell belongs to the lead
             assert column[: lead + 1] == list(range(lead + 1))
-            assert len(column) == lead + 1 or column[lead + 1] != lead + 1
-    # level 2's lead on diagonal 0 is level 1's there, the column below it
-    assert all(a is b for a, b in zip(levels[1][0][: lead + 1], levels[0][0]))
-    # level 1's lead on diagonal 1 is diagonal 0's, the column to its left
-    assert all(a is b for a, b in zip(levels[0][1][: lead + 1], levels[0][0]))
+            assert column[lead + 1 :] == tail
+    assert answers[-1] == slcs_baseline(t1, t2, 4) == n - 2
 
 
 def test_common_prefix_lead_spares_a_lookup():
@@ -888,8 +890,9 @@ def _lead(column: list[int]) -> int:
 
 
 def test_column_function_refills_every_stored_column():
-    # _levels only schedules the column function: given a stored column's
-    # left and up columns and their leads, it returns that column and lead
+    # _levels only schedules the column function: given the tails past the
+    # leads of a stored column's left and up columns, and those leads, it
+    # returns that column's tail and lead
     rng = random.Random(34)
     for t1, t2 in _uniform_tail_and_scattered_pairs(rng, 150):
         f = rng.randint(1, 8)
@@ -902,8 +905,10 @@ def test_column_function_refills_every_stored_column():
             for diag, stored in enumerate(level):
                 left = level[diag - 1] if diag else [0]
                 up = levels[h - 2][diag] if h > 1 else [0]
-                got = columns.column(h, diag, left, _lead(left), up, _lead(up))
-                assert got == (stored, _lead(stored)), (t1, t2, h, diag)
+                got = columns.column(h, diag, left[_lead(left) + 1 :], _lead(left),
+                                     up[_lead(up) + 1 :], _lead(up))
+                lead = _lead(stored)
+                assert got == (stored[lead + 1 :], lead), (t1, t2, h, diag)
 
 
 def test_prefix_lengths_rise_strictly_with_the_common_length():
@@ -945,6 +950,20 @@ def test_tail_edits_take_no_lcsuf_lookup(f):
     stats = SolveStats()
     assert slcs_diagonal(*TAIL_EDITS, f, stats=stats) == 1998
     assert stats.lcsuf_lookups == 0
+
+
+@pytest.mark.parametrize("f", [1, 16])
+def test_tail_edits_store_no_lead_cells(f):
+    # every column's lead holds the 1,998 shared symbols and is never stored,
+    # so a solve holds a few cells per column, about 5 KB; leads written out
+    # as ints would take over 90 KB
+    tracemalloc.start()
+    try:
+        assert slcs_diagonal(*TAIL_EDITS, f) == 1998
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10, peak
 
 
 def test_uniform_pair_takes_lcsuf_lookups():
