@@ -211,8 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--algo", choices=("diagonal", "baseline", "oracle"),
                       help="solver (default: diagonal); baseline, the dense "
                            "O(f*n1*n2) fill, is faster on unrelated texts and on "
-                           "long near copies with a few scattered substitutions "
-                           "over small alphabets; oracle, "
+                           "long near copies over small alphabets at a budget "
+                           "below their number of scattered substitutions; oracle, "
                            "brute force, refuses texts over "
                            f"{oracle.DEFAULT_SIZE_LIMIT} symbols (exit {LIMIT_EXIT})")
     mode.add_argument("--witness", action="store_true",

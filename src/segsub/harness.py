@@ -120,10 +120,11 @@ def differential_run(
 
     Each case checks the matching family; the heavier common-subsequence
     families alternate between cases. Every other seglcs case is a near copy
-    of equal length, the regime in which the diagonal solver's exact tests
-    settle most lcsuf lookups and its columns start with long leads: half of
-    them with up to two tail edits, half with up to two substitutions at
-    random positions, after which a column's scan resumes mid-diagonal.
+    of equal length, the regime in which the diagonal solver's scan settles
+    most cells without an lcsuf lookup and its columns start with long
+    leads: half of them with up to two tail edits, half with up to two
+    substitutions at random positions, after which a column's scan resumes
+    mid-diagonal.
     Each seglcs case also checks the witness: its length, and that it is a
     common subsequence of both texts in at most f segments. Half of the
     indseglcs cases, chosen by the case seed, are equal-length near copies

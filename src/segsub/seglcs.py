@@ -10,16 +10,20 @@ adjacent cells of a row differ by 0 or 1, as in bit-vector LCS (Allison and
 Dix 1986; Hyyrö 2004), so a row's step bits hold it whole, and a cell is the
 popcount of the steps before it.
 
-``diagonal_levels`` fills sparse shortest-prefix tables L(i, s, h) one
-diagonal (i - s = const) at a time with a non-resetting scan pointer over
-the longer text, skipping whole diagonals that can no longer improve the
-answer; when the solution is long it touches only a sliver of each table.
-It is a generator: it yields each level with the answer at its budget and
-keeps only the level below the one it fills. ``slcs_diagonal`` drains the
-same levels for the last answer; the CLI's table dump keeps every level.
-Two exact tests settle most of its lcsuf lookups, and the ``LcsufIndex`` is
-built only at the first lookup they leave, so similar texts often need no
-index at all.
+The diagonal solvers fill sparse shortest-prefix tables L(i, s, h) one
+column, a diagonal (i - s = const) of one level, at a time with a
+non-resetting scan pointer over the longer text, skipping whole diagonals
+that can no longer improve the answer; when the solution is long they touch
+only a sliver of each table. ``slcs_diagonal`` runs the diagonals outside
+and the levels inside, so every level stops at the first diagonal that can
+no longer beat the answer, and its scans visit at most f*n2*(n1 - answer + 1)
+positions, the paper's bound. ``diagonal_levels`` runs the levels outside:
+it is a generator that yields each level with the answer at its budget,
+keeping only the level below the one it fills, and the CLI's table dump
+keeps every level. A column's scan searches three bands of the longer text
+in turn, for a 3-gram, a 2-gram and a symbol of the shorter one, and only a
+3-gram hit takes an lcsuf range minimum; the ``LcsufIndex`` is built at the
+first, so similar texts often need no index at all.
 
 Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
 its lead, like the snakes of Myers' O(ND) diff. A column stores only its
@@ -32,9 +36,11 @@ Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
 level equals it too. The baseline applies this row by row: level h+1 is
 filled only from the row after the first on which level h differs from
-level h-1. The diagonal solver applies it to whole levels: it yields the
-level it repeats for every deeper budget. The work counters count only
-filled levels.
+level h-1. ``slcs_diagonal`` applies it diagonal by diagonal: it starts
+level h+1 at the first diagonal where level h differs from level h-1.
+``diagonal_levels`` applies it to whole levels: it yields the level it
+repeats for every deeper budget. The work counters count only filled
+columns.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ class SolveStats:
     solver, the scan positions it stepped over, a column's lead included:
     per filled column, the scan pointer's final position, min(last value,
     n2)); ``lcsuf_lookups`` counts the lcsuf range minima the diagonal solver
-    took, which no exact test settled.
+    took, one per 3-gram hit in a scan's first band.
     """
 
     cell_visits: int = 0
@@ -268,14 +274,13 @@ def diagonal_levels(
 
 class _Columns:
     """The diagonal solver's recurrence on one pair of oriented texts, with
-    the ``LcsufIndex`` that its lcsuf lookups share, built at the first lookup
-    that the exact tests leave, and ``lookups``, the count of those lookups."""
+    the ``LcsufIndex`` that its lcsuf lookups share, built at the first lookup,
+    and ``lookups``, the count of those lookups."""
 
-    __slots__ = ("t1", "t2", "before", "index", "lookups")
+    __slots__ = ("t1", "t2", "index", "lookups")
 
     def __init__(self, t1: bytes, t2: bytes) -> None:
-        # before[i - 1] is t1[i-1] (1-based) for i >= 2; its first byte is never read
-        self.t1, self.t2, self.before = t1, t2, b"\0" + t1
+        self.t1, self.t2 = t1, t2
         self.index: LcsufIndex | None = None  # on a few tail edits, never built
         self.lookups = 0
 
@@ -293,79 +298,95 @@ class _Columns:
         the lead of ``up`` (L never grows with h); at h = 1 the common prefix
         of t2 and t1[diag:]. The scan fills the tail, and the lead also takes
         in the cells with L = s that the scan finds.
+
+        Cell s (i = s + diag) is the first j from the scan pointer on with
+        j >= T(min(lcsuf(i, j), s)), or else the left cell s, ``stop``. Here
+        T(x) = x + L(h-1, i-x, s-x) is read from ``up``'s cell s-x: s in its
+        lead, infinite past its end. T never grows with x (dropping the last
+        common symbol of a level h-1 solution shortens both prefixes by one),
+        so the scan searches three bands of j in order and takes the first
+        hit: below T(2) a hit needs lcsuf >= 3, so only the 3-gram
+        t1[i-3:i] is searched there and each hit takes an lcsuf range
+        minimum; in [T(2), T(1)) any 2-gram t1[i-2:i] passes; from T(1) on
+        any symbol t1[i-1] passes.
         """
-        t1, t2, before, index = self.t1, self.t2, self.before, self.index
+        t1, t2, index = self.t1, self.t2, self.index
         if index is not None:
             rank1, rank2, levels = index.rank1, index.rank2, index.levels
         inf = len(t2) + 1
         find = t2.find
         end = len(t1) - diag
-        # where each neighbour's tail starts, and one past its last cell
+        # where each neighbour's tail starts, one past the left tail's last
+        # cell, and the up tail's length
         left_at, up_at = left_lead + 1, up_lead + 1
-        n_left, n_up = left_at + len(left), up_at + len(up)
+        n_left, n_up = left_at + len(left), len(up)
         lead = max(left_lead, up_lead)
-        if (h == 1 and t1[diag + lead] == t2[lead]
-                and t1.startswith(t2[: lead + 1], diag)):
-            lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if t1.startswith(t2[:mid], diag):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            lead = lo
+        if h == 1 and t1[diag + lead] == t2[lead]:
+            prefix = memoryview(t2)  # compared in place, never copied
+            if t1.startswith(prefix[: lead + 1], diag):
+                lo, hi = lead + 1, end  # t1[diag:] starts with t2[:lo]
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if t1.startswith(prefix[:mid], diag):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                lead = lo
         tail: list[int] = []
         j = lead + 1  # the scan pointer never moves back along a diagonal
         lookups = 0
-        for s, a, b in zip(
-            range(lead + 1, end + 1), t1[diag + lead :], before[diag + lead :]
-        ):
-            # L(h, i, s) with i = s + diag is the first j >= the pointer
-            # with j == L(h, i-1, s), or with x = min(lcsuf(i, j), s) > 0
-            # and j >= x + L(h-1, i-x, s-x); x > 0 exactly where
-            # t2[j] == t1[i] (= a), so only those j are queried; j <= stop, as
-            # j - 1 = L(h, i, s-1) <= L(h, i-1, s-1) < L(h, i-1, s) = stop;
-            # s > lead >= left_lead, so stop is in the left tail or past it
+        for s, a in zip(range(lead + 1, end + 1), t1[diag + lead :]):
+            # j <= stop, as j - 1 = L(h, i, s-1) <= L(h, i-1, s-1) <
+            # L(h, i-1, s) = stop; s > lead >= left_lead, so stop is in the
+            # left tail or past it
             stop = left[s - left_at] if s < n_left else inf
+            k = s - 1 - up_at  # up's cell s-1 in its tail
+            one = s if k < 0 else 1 + up[k] if k < n_up else inf  # T(1)
             if stop == j:
-                cand = 0
-            elif t2[j - 1] == a:
-                cand = j
+                value = stop
+            elif one <= j:
+                value = j if t2[j - 1] == a else find(a, j - 1, stop - 1) + 1 or stop
             else:
-                cand = find(a, j - 1, stop - 1) + 1  # 0 when none
-            while cand:
-                # Two exact tests spare most range minima. First,
-                # x + L(h-1, i-x, s-x) never grows with x (dropping the
-                # last common symbol of a level h-1 solution shortens
-                # both prefixes by one), so when x = 1 passes, the full
-                # lcsuf passes too; cand >= j >= s passes every up cell
-                # s - 1 in the lead. Second, lcsuf is 1, which has just
-                # failed, when the symbols before t1[i] and t2[cand]
-                # differ: b and t2[cand-1] (cand = 1 reads t2[-1]; should
-                # it equal b, the range minimum still gives 1).
-                if s <= up_at or (s <= n_up and cand > up[s - 1 - up_at]):
-                    break
-                if t2[cand - 2] == b:
-                    # range minimum of the LCP array between the ranks
-                    lookups += 1
-                    if index is None:
-                        index = self.index = LcsufIndex(t1, t2)
-                        rank1, rank2, levels = index.rank1, index.rank2, index.levels
-                    lo, hi = rank1[s + diag], rank2[cand]
-                    if lo > hi:
-                        lo, hi = hi, lo
-                    k = (hi - lo).bit_length() - 1
-                    x = levels[k][lo]
-                    y = levels[k][hi - (1 << k)]
-                    if y < x:
-                        x = y
-                    # an up cell s - x in the lead (s - x <= 0 included)
-                    # holds s - x, which cand >= s passes
-                    s_up = s - x
-                    if s_up < up_at or (s_up < n_up and cand >= x + up[s_up - up_at]):
-                        break
-                cand = find(a, cand, stop - 1) + 1
-            value = cand or stop
+                i = s + diag
+                two = s if k < 1 else 2 + up[k - 1] if k <= n_up else inf  # T(2)
+                # the bands end at stop; T(2) <= T(1) still
+                if two > stop:
+                    two = stop
+                if one > stop:
+                    one = stop
+                value = 0
+                if j < two:  # then s >= 3: the 3-gram band
+                    gram = t1[i - 3 : i]
+                    at = find(gram, j - 3, two - 1)
+                    while at >= 0:
+                        cand = at + 3
+                        # range minimum of the LCP array between the ranks
+                        lookups += 1
+                        if index is None:
+                            index = self.index = LcsufIndex(t1, t2)
+                            rank1, rank2, levels = index.rank1, index.rank2, index.levels
+                        lo, hi = rank1[i], rank2[cand]
+                        if lo > hi:
+                            lo, hi = hi, lo
+                        k = (hi - lo).bit_length() - 1
+                        x = levels[k][lo]
+                        y = levels[k][hi - (1 << k)]
+                        if y < x:
+                            x = y
+                        # an up cell s - x in the lead (s - x <= 0 included)
+                        # holds s - x, so T(x) = s, which cand >= s passes
+                        k = s - x - up_at
+                        if k < 0 or (k < n_up and cand >= x + up[k]):
+                            value = cand
+                            break
+                        at = find(gram, at + 1, two - 1)
+                    j = two  # where the 2-gram band starts, if no hit
+                if not value and j < one:  # then s >= 2: the 2-gram band
+                    at = find(t1[i - 2 : i], j - 2, one - 1)
+                    if at >= 0:
+                        value = at + 2
+                if not value:
+                    value = find(a, one - 1, stop - 1) + 1 or stop if one < stop else stop
             tail.append(value)
             if value == inf:
                 break  # deeper cells on this diagonal are infinite as well
@@ -381,9 +402,9 @@ class _Columns:
 def _levels(
     t1: bytes, t2: bytes, f: int, stats: SolveStats | None
 ) -> Iterator[tuple[int, list[tuple[list[int], int]]]]:
-    """The generator behind ``slcs_diagonal`` and ``diagonal_levels``, on
-    oriented texts: it runs ``_Columns.column`` level by level, diagonal by
-    diagonal, and yields each level as its columns' (tail, lead) pairs."""
+    """The generator behind ``diagonal_levels``, on oriented texts: it runs
+    ``_Columns.column`` level by level, diagonal by diagonal, and yields each
+    level as its columns' (tail, lead) pairs."""
     n1, n2 = len(t1), len(t2)
     inf = n2 + 1
     columns = _Columns(t1, t2)
@@ -440,8 +461,46 @@ def slcs_diagonal(
     f: int,
     stats: SolveStats | None = None,
 ) -> int:
-    """Segmental LCS length via the sparse diagonal tables."""
+    """Segmental LCS length via the sparse diagonal tables, diagonal by
+    diagonal with every filled level inside each: level h on diagonal d
+    reads only level h on d-1 and level h-1 on d. The levels stop together
+    when no later diagonal can beat the answer, so the scan pointers visit
+    at most f*n2*(n1 - answer + 1) positions.
+
+    The filled levels are 1..top; every level above ``top`` has equalled it
+    on every diagonal so far. Level top+1 starts on the first diagonal where
+    level top differs from level top-1, from level top's column on the
+    diagonal before; level 1 is not the same function of level 0, so level 2
+    is always filled.
+    """
     t1, t2, f, _ = _oriented(t1, t2, f)
-    for answer, _ in _levels(t1, t2, f, stats):
-        pass
-    return answer
+    n1, n2 = len(t1), len(t2)
+    inf = n2 + 1
+    columns = _Columns(t1, t2)
+    column = columns.column
+    # prev[h - 1] is level h's column on the previous diagonal, h = 1..top
+    prev: list[tuple[list[int], int]] = [([], 0)] * min(2, f)
+    best = visits = diag = 0
+    while diag < n1 - best:
+        cur: list[tuple[list[int], int]] = []
+        up: tuple[list[int], int] = ([], 0)
+        for h in range(1, f + 1):
+            if h > len(prev):
+                if up == cur[-2]:
+                    break
+                prev.append(prev[-1])
+            up = column(h, diag, *prev[h - 1], *up)
+            cur.append(up)
+            tail, lead = up
+            # each finite cell moved the pointer from j to its value + 1, so the
+            # scan visited up to the last finite value, or all of t2 at an inf
+            last = tail[-1] if tail else lead
+            visits += min(last, n2)
+        # the top level's cells are the smallest, so its run of finite cells
+        # is the longest on this diagonal
+        best = max(best, lead + len(tail) - (last == inf))
+        prev, diag = cur, diag + 1
+    if stats is not None:
+        stats.cell_visits += visits
+        stats.lcsuf_lookups += columns.lookups
+    return best

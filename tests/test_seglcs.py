@@ -330,8 +330,9 @@ class TestDiagonal:
 
     def test_two_layer_retention(self):
         # a uniform pair whose answer grows at every budget, so no level
-        # repeats the one below: a length-only solve holds two levels at a
-        # time, while a caller that keeps every yielded level holds six
+        # repeats the one below: a length-only solve holds two diagonals'
+        # columns of each level, while a caller that keeps every yielded
+        # level holds six whole levels
         t1, t2 = generate_instance((300, 300), alphabet=4, seed=1)
         peaks = []
         for solve in (slcs_diagonal, lambda *args: list(diagonal_levels(*args))):
@@ -650,16 +651,26 @@ class TestFixedPoint:
         assert all(level is levels[1] for level in levels[2:])
 
     def test_visits_never_fall_with_budget(self):
+        # the baseline and the layer-major levels fill more cells at a larger
+        # budget; slcs_diagonal may fill fewer, since a larger f can raise
+        # the answer and so cut more diagonals than it adds levels, but it
+        # stays within the paper's bound
         rng = random.Random(43)
         for _ in range(60):
             t1, t2 = random_text(rng, 20), random_text(rng, 20)
-            for solver in (slcs_baseline, slcs_diagonal):
+            n1, n2 = sorted((len(t1), len(t2)))
+            for solve in (slcs_baseline, drain_diagonal):
                 visits = []
-                for f in range(1, min(len(t1), len(t2)) + 4):
+                for f in range(1, n1 + 4):
                     stats = SolveStats()
-                    solver(t1, t2, f, stats=stats)
+                    solve(t1, t2, f, stats)
                     visits.append(stats.cell_visits)
-                assert visits == sorted(visits), (t1, t2, solver.__name__)
+                assert visits == sorted(visits), (t1, t2, solve.__name__)
+            for f in range(1, n1 + 4):
+                stats = SolveStats()
+                answer = slcs_diagonal(t1, t2, f, stats=stats)
+                bound = max(1, min(f, n1)) * n2 * (n1 - answer + 1)
+                assert stats.cell_visits <= bound, (t1, t2, f)
 
     def test_baseline_counts_filled_layers(self):
         # the reference fills every layer; the baseline fills a level from the
@@ -753,8 +764,8 @@ def _assert_counters_match_tables(
 
 def test_diagonal_runs_match_shortest_prefix_tables():
     # every stored cell equals the table built from the definition, whichever
-    # of the solver's lcsuf lookup tests decided it, and a length-only solve
-    # reaches the same answer with the same counters
+    # band of the scan decided it, and a length-only solve reaches the same
+    # answer from a subset of the same columns
     rng = random.Random(31)
     for _ in range(200):
         t1, t2 = random_text(rng, 12), random_text(rng, 12)
@@ -762,8 +773,9 @@ def test_diagonal_runs_match_shortest_prefix_tables():
         stats, lean_stats = SolveStats(), SolveStats()
         answers, levels = drain_diagonal(t1, t2, f, stats)
         assert slcs_diagonal(t1, t2, f, stats=lean_stats) == answers[-1], (t1, t2, f)
-        assert lean_stats == stats
         _assert_counters_match_tables(answers, levels, stats, t1, t2)
+        assert lean_stats.cell_visits <= stats.cell_visits
+        assert lean_stats.lcsuf_lookups <= stats.lcsuf_lookups
         short, long = sorted((t1, t2), key=len)
         if short:
             full = shortest_prefix_tables(short, long, len(levels))
@@ -773,7 +785,7 @@ def test_diagonal_runs_match_shortest_prefix_tables():
 
 def test_near_copy_runs_match_shortest_prefix_tables():
     # near copies put long matches on the grid diagonals, where the column
-    # leads and the two exact tests decide most candidates: every stored
+    # leads and the lookup-free bands decide most candidates: every stored
     # cell still equals the definition, and a length-only solve agrees
     rng = random.Random(32)
     for _ in range(200):
@@ -784,8 +796,9 @@ def test_near_copy_runs_match_shortest_prefix_tables():
         stats, lean_stats = SolveStats(), SolveStats()
         answers, levels = drain_diagonal(t1, t2, f, stats)
         assert slcs_diagonal(t1, t2, f, stats=lean_stats) == answers[-1], (t1, t2, f)
-        assert lean_stats == stats
         _assert_counters_match_tables(answers, levels, stats, t1, t2)
+        assert lean_stats.cell_visits <= stats.cell_visits
+        assert lean_stats.lcsuf_lookups <= stats.lcsuf_lookups
         full = shortest_prefix_tables(t1, t2, len(levels))
         for h, i, s, value in diagonal_cells(levels):
             assert value == full[h][i][s], (t1, t2, h, i, s)
@@ -967,9 +980,12 @@ def test_tail_edits_store_no_lead_cells(f):
 
 
 def test_uniform_pair_takes_lcsuf_lookups():
+    # only 3-gram hits below T(2) take a range minimum; on the layer-major
+    # levels of this pair, one per 2-gram hit below T(1) came to 4,648 and
+    # the bands take 1,132
     stats = SolveStats()
-    slcs_diagonal(*UNIFORM_150, 4, stats=stats)
-    assert stats.lcsuf_lookups > 0
+    assert slcs_diagonal(*UNIFORM_150, 4, stats=stats) == 22
+    assert stats.lcsuf_lookups == 1084
 
 
 @pytest.mark.parametrize("f", [1, 4, 16])
@@ -1001,8 +1017,8 @@ PINNED_VISITS = {
     ("similarity", 2000, 2, 1): (1998, 4000),
     ("similarity", 2000, 2, 4): (1998, 8000),
     ("similarity", 2000, 2, 16): (1998, 8000),
-    ("similarity", 2000, 20, 16): (1992, 182000),
-    ("uniform", 150, None, 4): (29, 77850),
+    ("similarity", 2000, 20, 16): (1992, 108000),
+    ("uniform", 150, None, 4): (29, 72600),
 }
 
 
@@ -1016,6 +1032,31 @@ def test_pinned_visit_counts(case):
     stats = SolveStats()
     answer = slcs_diagonal(t1, t2, f, stats=stats)
     assert (answer, stats.cell_visits) == PINNED_VISITS[case]
+
+
+def test_diagonal_solver_meets_the_paper_bound():
+    # result (3): the scan pointers visit at most f'*n2*(n1 - answer + 1)
+    # positions, f' the clamped budget and n1 <= n2, on uniform pairs, tail
+    # edits and scattered substitutions alike
+    rng = random.Random(37)
+    for t1, t2 in _uniform_tail_and_scattered_pairs(rng, 600, longest=60):
+        f = rng.randint(1, 12)
+        stats = SolveStats()
+        answer = slcs_diagonal(t1, t2, f, stats=stats)
+        assert answer == slcs_baseline(t1, t2, f), (t1, t2, f)
+        n1, n2 = sorted((len(t1), len(t2)))
+        bound = max(1, min(f, n1)) * n2 * (n1 - answer + 1)
+        assert stats.cell_visits <= bound, (t1, t2, f)
+
+
+def test_scattered_edits_pinned_at_the_paper_bound():
+    # 8 substitutions in 1,000 symbols: the layer-major levels ran level 1
+    # to its longest common substring, 2,525,000 visits; diagonal by
+    # diagonal the levels stop together at 9 * 1000 * (1000 - 992 + 1)
+    t1, t2 = _scattered_pair(random.Random(1), 1000, 8)
+    stats = SolveStats()
+    assert slcs_diagonal(t1, t2, 9, stats=stats) == 992 == slcs_baseline(t1, t2, 9)
+    assert stats.cell_visits == 81000
 
 
 def test_dump_format():
