@@ -3,8 +3,10 @@
 ``slcs_baseline`` fills the prefix table C(i, h, j) in O(f*n1*n2) time, one
 row of the shorter text at a time with every level in the row, so it keeps
 two rows, O(f*n2) space. A match-run array carried with the row stands in
-for the common-suffix term x + C(i-x, h-1, j-x), so a row costs four numpy
-calls over all its levels, with no lcsuf table. ``slcs_witness`` keeps every
+for the common-suffix term x + C(i-x, h-1, j-x), so a row costs five numpy
+calls over all its levels, with no lcsuf table. The cells are 8-bit, where
+numpy's running maximum is fastest, until one reaches 254, and 32-bit from
+that row on. ``slcs_witness`` keeps every
 row at one bit per cell and traces a witness back through them: along j,
 adjacent cells of a row differ by 0 or 1, as in bit-vector LCS (Allison and
 Dix 1986; Hyyrö 2004), so a row's step bits hold it whole, and a cell is the
@@ -94,49 +96,66 @@ def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
     A match-run array Z rides along with the row: Z(i, h, j) is
     max(C(i-1, h-1, j-1), Z(i-1, h, j-1)) + 1 where t1[i] == t2[j], which is
     the largest x + C(i-x, h-1, j-x) over 1 <= x <= lcsuf(i, j). At a
-    mismatch a bump of -(n1 + n2 + 2) replaces the +1, so Z falls below every
-    C and no max ever picks it. Row i of level h is then the running maximum
-    along j of max(C(i-1, h, .), Z(i, h, .)).
+    mismatch a mask of zeros clears it, and a mask of ones keeps it at a
+    match, so a miss holds 0, which no max prefers to a cell C >= 0. Row i of
+    level h is then the running maximum along j of max(C(i-1, h, .),
+    Z(i, h, .)).
+
+    The rows, both Z buffers and the masks are uint8, where numpy's running
+    maximum is several times faster than at int32, until the row's largest
+    cell reaches 254; then they are converted to int32, once. A cell grows by
+    at most 1 per row and Z never exceeds C, so no uint8 sum wraps before
+    then. A row never falls along j or with h, so its largest cell is
+    C(i, top, n2), and since C(i, h, j) <= i, a table of fewer than 254 rows
+    never reaches the limit and skips the check.
 
     ``top`` is the lowest level that has equalled the level below it on every
     row so far; the levels above it equal it there and are not filled. When
     row i's level ``top`` differs from level top-1, level top+1 starts on row
     i+1 from level top's row i, up to level f. Its Z there needs no copy: it
     would be Z(i, top, .), which never exceeds C(i, top, .), the level below
-    level top+1; the zeros and column-0 misses that its buffer holds serve
-    as well.
+    level top+1; the zeros that its buffer holds serve as well.
     """
     n1, n2 = len(t1), len(t2)
     w = n2 + 1
-    yield np.zeros((1, w), dtype=np.int32)  # row 0 is zero on every level
+    yield np.zeros((1, w), dtype=np.uint8)  # row 0 is zero on every level
     # Z is one flat buffer, level after level, so that its cell (h, j) reads
     # C's cell (h-1, j-1) and Z's cell (h, j-1) of the row above w+1 and 1
     # places earlier. A fill writes the top*w cells from (1, 1) on: each
-    # level's j = 1..n2, then column 0 of the level above, whose bump is a
-    # miss so that it stays below every C. Cell (1, 0) is never written, and
-    # a spare cell past level f takes the end of the last fill.
-    miss = -(n1 + n2 + 2)
+    # level's j = 1..n2, then column 0 of the level above, whose mask is a
+    # miss so that it stays 0. Cell (1, 0) is never written, and a spare
+    # cell past level f takes the end of the last fill.
     b = np.frombuffer(t2, dtype=np.uint8)
-    bumps = {
-        c: np.where(np.append(b == c, False), np.int32(1), np.int32(miss))
+    masks = {
+        c: np.where(np.append(b == c, False), np.uint8(255), np.uint8(0))
         for c in set(t1)
     }
-    z, z_next = np.zeros((2, (f + 1) * w + 1), dtype=np.int32)
-    row = np.zeros((2, w), dtype=np.int32)  # level 1 starts on row 1
+    z, z_next = np.zeros((2, (f + 1) * w + 1), dtype=np.uint8)
+    row = np.zeros((2, w), dtype=np.uint8)  # level 1 starts on row 1
     top = 1
+    narrow = n1 >= 254  # whether the uint8 cells may still reach 254
     for c in t1:
         size = top * w
         fill = z_next[w + 1 : w + 1 + size]
         np.maximum(row.ravel()[:size], z[w : w + size], out=fill)
+        fill += 1
         block = fill.reshape(top, w)
-        block += bumps[c]
+        block &= masks[c]
         row = np.maximum(row, z_next[: size + w].reshape(top + 1, w))
         np.maximum.accumulate(row[1:], axis=1, out=row[1:])
         yield row
         z, z_next = z_next, z
-        if top < f and not np.array_equal(row[top], row[top - 1]):
+        # comparing bytes skips most of np.array_equal's per-call overhead
+        if top < f and row[top].tobytes() != row[top - 1].tobytes():
             row = np.vstack((row, row[top]))
             top += 1
+        if narrow and row[top, -1] >= 254:
+            narrow = False
+            row = row.astype(np.int32)
+            z = z.astype(np.int32)
+            z_next = z_next.astype(np.int32)
+            for a, mask in masks.items():  # as int8 a mask of ones is -1
+                masks[a] = mask.view(np.int8).astype(np.int32)
 
 
 _BLOCK = 64  # rows of step bits that the witness packs at a time
@@ -145,13 +164,15 @@ _BLOCK = 64  # rows of step bits that the witness packs at a time
 def _dense_bytes(n_short: int, n_long: int, f: int, kept: int) -> int:
     """Bytes that a dense solve allocates when it keeps ``kept`` table rows
     at one bit per cell. The fill holds two rows and two Z buffers of at
-    most f+1 int32 levels over the longer text, one bump per symbol of the
-    shorter text and the mask of the fixed-point test. The kept rows take
-    one packed bit per cell, filled through a block of up to ``_BLOCK`` rows
-    of one bool per cell and its packed copy."""
+    most f+1 int32 levels over the longer text and one mask per symbol of
+    the shorter text. They are uint8, a quarter of that, until a cell
+    reaches 254, and are widened to int32 one at a time, so the int32 sizes
+    bound the fill throughout. The kept rows take one packed bit per cell,
+    filled through a block of up to ``_BLOCK`` rows of one bool per cell and
+    its packed copy."""
     width = n_long + 1
     symbols = min(n_short, 256)
-    fill = 4 * width * ((f + 1) * 4 + symbols) + width
+    fill = 4 * width * ((f + 1) * 4 + symbols)
     block = min(_BLOCK, kept)
     packed = (kept + block) * (f + 1) * ((n_long + 7) // 8)
     return fill + packed + block * (f + 1) * n_long

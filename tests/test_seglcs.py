@@ -214,24 +214,82 @@ def test_oversized_tables_refused_before_allocating():
 
 def test_table_rows_step_by_zero_or_one():
     # the witness keeps one bit per cell because every level of every row
-    # starts at 0 and steps by 0 or 1 along j: C(i, h, j) <= C(i, h, j-1) + 1
+    # starts at 0 and steps by 0 or 1 along j: C(i, h, j) <= C(i, h, j-1) + 1;
+    # the last eight pairs are near copies of 260-300 symbols whose rows pass
+    # the uint8 limit of 254 and are widened on the way
     rng = random.Random(23)
-    for case in range(320):
+    for case in range(328):
         alphabet = (1, 2, 4, 256)[case % 4]
-        t1 = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 40)))
-        if case % 8 < 4:  # a near copy: up to three substitutions
+        widens = case >= 320
+        n = rng.randint(260, 300) if widens else rng.randint(0, 40)
+        t1 = bytes(rng.randrange(alphabet) for _ in range(n))
+        if case % 8 < 4 or widens:  # a near copy: up to three substitutions
             t2 = bytearray(t1)
-            for pos in rng.sample(range(len(t1)), min(len(t1), rng.randint(0, 3))):
+            edits = min(len(t1), rng.randint(0, 3))
+            for pos in rng.sample(range(len(t1)), edits):
                 t2[pos] = rng.randrange(alphabet)
             t2 = bytes(t2)
         else:
             t2 = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 40)))
-        f = rng.randint(1, 10)
+        # a budget past the edits keeps the answer within 3 of n
+        f = edits + 1 + rng.randint(0, 6) if widens else rng.randint(1, 10)
         for a, b in ((t1, t2), (t2, t1)):
             for row in seglcs_module._table_rows(a, b, f):
                 assert not row[:, 0].any(), (a, b, f)
                 steps = np.diff(row, axis=1)
                 assert ((steps == 0) | (steps == 1)).all(), (a, b, f)
+            assert (row[-1, -1] >= 254) == widens, (a, b, f)
+
+
+@pytest.mark.parametrize("f", [1, 2, 16])
+def test_dense_solvers_across_the_uint8_limit(f):
+    # the rows are uint8 until a cell reaches 254 and int32 from then on:
+    # identical texts and two-edit copies of 250-260 symbols have answers on
+    # both sides of that limit, and every solver agrees on them
+    rng = random.Random(f"uint8-{f}")
+    for n in range(250, 261):
+        t = bytes(97 + rng.randrange(4) for _ in range(n))
+        assert slcs_baseline(t, t, f) == slcs_diagonal(t, t, f) == n
+        assert_witness(t, t, f, n)
+        t1, t2 = _scattered_pair(rng, n, 2)
+        want = slcs_diagonal(t1, t2, f)
+        assert slcs_baseline(t1, t2, f) == want
+        assert_witness(t1, t2, f, want)
+
+
+def test_widened_rows_equal_the_diagonal_solver():
+    # an n = 600 near copy whose answer is far above 254, so its rows are
+    # widened to int32 part way: cells sampled on both sides of the widening
+    # equal the diagonal solver's answer on the prefixes
+    rng = random.Random(29)
+    t1, t2 = _scattered_pair(rng, 600, 3)
+    f = 4
+    rows = list(seglcs_module._table_rows(t1, t2, f))
+    assert rows[-1][-1, -1] == slcs_diagonal(t1, t2, f) > 254
+    for _ in range(40):
+        i, j, h = rng.randint(200, 600), rng.randint(200, 600), rng.randint(1, f)
+        row = rows[i]
+        assert row[min(h, len(row) - 1), j] == slcs_diagonal(t1[:i], t2[:j], h), (i, j, h)
+
+
+@pytest.mark.parametrize(
+    "similarity, widens", [(2, True), (None, False)], ids=["tail-edits", "uniform"]
+)
+def test_dense_peaks_within_the_plan(similarity, widens):
+    # _dense_bytes plans int32 rows for the whole solve; the rows stay uint8
+    # until a cell reaches 254, and the widening to int32 must not push the
+    # traced peak past the plan
+    n, f = 1000, 16
+    t1, t2 = generate_instance((n, n), alphabet=4, seed=3, similarity=similarity)
+    for solver, kept in ((slcs_baseline, 0), (slcs_witness, n + 1)):
+        tracemalloc.start()
+        try:
+            solver(t1, t2, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= seglcs_module._dense_bytes(n, n, f, kept), solver.__name__
+    assert (slcs_baseline(t1, t2, f) >= 254) == widens
 
 
 @pytest.mark.parametrize("n2", [0, 1, 7, 8, 9, 63, 64, 65])
