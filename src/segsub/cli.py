@@ -79,7 +79,7 @@ def _cmd_seglcs(args) -> Result:
     elif args.algo == "oracle":
         payload = {"length": oracle.slcs_bruteforce(t1, t2, args.segments)}
     elif args.dump_tables:
-        levels = list(seglcs.diagonal_levels(t1, t2, args.segments))
+        levels = seglcs.diagonal_levels(t1, t2, args.segments)
         longest = max(len(t1), len(t2))  # a value past it is an infinite cell
         tables = [
             [h, diag, s, value if value <= longest else "inf"]

@@ -12,37 +12,33 @@ adjacent cells of a row differ by 0 or 1, as in bit-vector LCS (Allison and
 Dix 1986; Hyyrö 2004), so a row's step bits hold it whole, and a cell is the
 popcount of the steps before it.
 
-The diagonal solvers fill sparse shortest-prefix tables L(i, s, h) one
+The diagonal solver fills sparse shortest-prefix tables L(i, s, h) one
 column, a diagonal (i - s = const) of one level, at a time with a
-non-resetting scan pointer over the longer text, skipping whole diagonals
-that can no longer improve the answer; when the solution is long they touch
-only a sliver of each table. ``slcs_diagonal`` runs the diagonals outside
-and the levels inside, so every level stops at the first diagonal that can
-no longer beat the answer, and its scans visit at most f*n2*(n1 - answer + 1)
-positions, the paper's bound. ``diagonal_levels`` runs the levels outside:
-it is a generator that yields each level with the answer at its budget,
-keeping only the level below the one it fills, and the CLI's table dump
-keeps every level. A column's scan searches three bands of the longer text
-in turn, for a 3-gram, a 2-gram and a symbol of the shorter one, and only a
-3-gram hit takes an lcsuf range minimum; the ``LcsufIndex`` is built at the
-first, so similar texts often need no index at all.
+non-resetting scan pointer over the longer text. One loop runs the diagonals
+outside and the levels inside, and stops a level at its cutoff, the first
+diagonal that can no longer beat its answer. ``slcs_diagonal`` stops every
+level at the top level's cutoff and holds only the previous diagonal's
+columns, so its scans visit at most f*n2*(n1 - answer + 1) positions, the
+paper's bound. ``diagonal_levels`` stops each level at its own cutoff and
+keeps every column, for the CLI's table dump. A column's scan searches three
+bands of the longer text in turn, for a 3-gram, a 2-gram and a symbol of the
+shorter one, and only a 3-gram hit takes an lcsuf range minimum; the
+``LcsufIndex`` is built at the first, so similar texts often need no index.
 
 Since L(i, s, h) >= s, the cells with L = s form a prefix of each diagonal,
 its lead, like the snakes of Myers' O(ND) diff. A column stores only its
 tail, the cells after its lead, and the diagonal solver scans only those;
 ``_Columns.column`` gives the lead's bounds. On texts that share long runs
 most cells lie in leads, so a column costs time and memory for its tail
-alone; ``diagonal_levels`` writes the leads out for the levels it yields.
+alone; ``diagonal_levels`` writes the leads out.
 
 Both solvers stop at the level fixed point. Level h is the same function of
 level h-1 for every h, so while a level equals the one below it, every deeper
 level equals it too. The baseline applies this row by row: level h+1 is
 filled only from the row after the first on which level h differs from
-level h-1. ``slcs_diagonal`` applies it diagonal by diagonal: it starts
-level h+1 at the first diagonal where level h differs from level h-1.
-``diagonal_levels`` applies it to whole levels: it yields the level it
-repeats for every deeper budget. The work counters count only filled
-columns.
+level h-1. The diagonal loop applies it diagonal by diagonal: it starts
+level h+1 at the first diagonal where level h differs from level h-1. The
+work counters count only filled columns.
 """
 
 from __future__ import annotations
@@ -275,22 +271,24 @@ def slcs_witness(
 
 def diagonal_levels(
     t1: bytes | str, t2: bytes | str, f: int, stats: SolveStats | None = None
-) -> Iterator[tuple[int, list[list[int]]]]:
-    """Yield (answer at budget h, level h) for h = 1..f, f clamped to the
-    shorter text; the shorter text drives the diagonals. A bad budget is
-    refused here, before the first level is asked for.
+) -> list[tuple[int, list[list[int]]]]:
+    """(answer at budget h, level h) for h = 1..f, f clamped to the shorter
+    text; the shorter text drives the diagonals. A bad budget is refused
+    before any work.
 
-    Level h lists one column per diagonal it filled: column diag holds
+    Level h lists one column per diagonal it reached: column diag holds
     L(s+diag, s, h) for s = 0, 1, ..., and a trailing entry past the longer
-    text, when present, marks the cell whose scan exhausted it. The solver
-    holds the level below and the level being filled as the tails of their
-    columns, and each yielded level is written out in full once. From the
-    fixed point on, every deeper budget yields the same answer and list.
-    The counters of each filled level go to ``stats``. ``_Columns.column``
-    fills each column.
+    text, when present, marks the cell whose scan exhausted it. It is the
+    diagonal solver's run with every column kept and each level stopped at
+    its own cutoff, written out in full, lead cells first. From the fixed
+    point on, every deeper budget gets the same answer and list. The
+    counters of the filled columns go to ``stats``.
     """
     t1, t2, f, _ = _oriented(t1, t2, f)
-    return _written_out(_levels(t1, t2, f, stats))
+    _, filled = _run(t1, t2, f, stats, True)
+    levels = [(answer, [list(range(lead + 1)) + tail for tail, lead in columns])
+              for answer, columns in filled]
+    return levels + levels[-1:] * (f - len(levels))
 
 
 class _Columns:
@@ -420,60 +418,78 @@ class _Columns:
         return tail, lead + grown
 
 
-def _levels(
-    t1: bytes, t2: bytes, f: int, stats: SolveStats | None
-) -> Iterator[tuple[int, list[tuple[list[int], int]]]]:
-    """The generator behind ``diagonal_levels``, on oriented texts: it runs
-    ``_Columns.column`` level by level, diagonal by diagonal, and yields each
-    level as its columns' (tail, lead) pairs."""
+def _run(
+    t1: bytes, t2: bytes, f: int, stats: SolveStats | None, keep: bool
+) -> tuple[int, list[tuple[int, list[tuple[list[int], int]]]]]:
+    """Run ``_Columns.column`` on oriented texts, diagonal by diagonal with
+    the filled levels 1..top inside each: level h on diagonal d reads only
+    level h on d-1 and level h-1 on d. Level top+1 starts on the first
+    diagonal where level top differs from level top-1, from level top's
+    column on the diagonal before; level 1 is not the same function of
+    level 0, so level 2 is always filled.
+
+    Returns the answer at budget f and, with ``keep``, each filled level as
+    (answer, columns), a column being a (tail, lead) pair. Without ``keep``
+    every level stops at the top level's cutoff, the first diagonal that can
+    no longer beat its answer, and only the previous diagonal's columns are
+    held. With ``keep`` each level stops at its own cutoff and keeps every
+    column; a level that starts on diagonal d shares the level below's
+    columns on the diagonals before d. The level below is still running
+    wherever a level runs, since on every prefix of the diagonals its answer
+    is no larger.
+    """
     n1, n2 = len(t1), len(t2)
     inf = n2 + 1
     columns = _Columns(t1, t2)
     column = columns.column
-    missing: tuple[list[int], int] = ([], 0)
-    below: list[tuple[list[int], int]] = []
-    for h in range(1, f + 1):
-        level: list[tuple[list[int], int]] = []
-        best = visits = diag = 0
-        left, lead = missing
-        while diag < n1 - best:
-            # below[diag] exists: on every prefix of the diagonals level h's
-            # answer is at least level h-1's, so level h stops no later
-            up, up_lead = below[diag] if h > 1 else missing
-            left, lead = pair = column(h, diag, left, lead, up, up_lead)
-            level.append(pair)
+    top = min(2, f)
+    # prev[h - 1] is level h's column on the previous diagonal
+    prev: list[tuple[list[int], int]] = [([], 0)] * top
+    if keep:  # each filled level's columns and its answer so far
+        kept: list[list[tuple[list[int], int]]] = [[] for _ in prev]
+        bests = [0] * top
+    best = visits = diag = 0
+    reach = f
+    while diag < n1 - best:
+        if keep:  # answers never fall with h, so levels 1..running still run
+            running = sum(diag < n1 - b for b in bests)
+            reach = f if running == top else running
+        cur: list[tuple[list[int], int]] = []
+        up: tuple[list[int], int] = ([], 0)
+        for h in range(1, reach + 1):
+            if h > top:
+                if up == cur[-2]:
+                    break
+                top = h
+                prev.append(prev[-1])
+                if keep:
+                    kept.append(kept[-1][:])  # the diagonals before this one
+                    bests.append(bests[-1])
+            up = column(h, diag, *prev[h - 1], *up)
+            cur.append(up)
+            tail, lead = up
             # each finite cell moved the pointer from j to its value + 1, so the
             # scan visited up to the last finite value, or all of t2 at an inf
-            last = left[-1] if left else lead
+            last = tail[-1] if tail else lead
             visits += min(last, n2)
-            best = max(best, lead + len(left) - (last == inf))
-            diag += 1
-        if stats is not None:
-            stats.cell_visits += visits
-            stats.lcsuf_lookups += columns.lookups
-        columns.lookups = 0
-        if level == below:  # at h = 1 only when n1 = 0, so f = 1
-            # level h+1 would be computed from level h exactly as level h
-            # was from level h-1, so every deeper level repeats level h
-            for _ in range(h, f + 1):
-                yield best, level
-            return
-        yield best, level
-        below = level
-
-
-def _written_out(
-    levels: Iterator[tuple[int, list[tuple[list[int], int]]]]
-) -> Iterator[tuple[int, list[list[int]]]]:
-    """Each level of ``levels`` with its columns written out in full, lead
-    cells 0..lead first; a level repeated past the fixed point is written
-    out once and yielded as that same list."""
-    pairs = shown = None
-    for best, level in levels:
-        if level is not pairs:
-            pairs = level
-            shown = [list(range(lead + 1)) + tail for tail, lead in level]
-        yield best, shown
+        if keep:
+            for h, pair in enumerate(cur):
+                kept[h].append(pair)
+                tail, lead = pair
+                last = tail[-1] if tail else lead
+                bests[h] = max(bests[h], lead + len(tail) - (last == inf))
+            best = bests[0]
+        else:
+            # the top level's cells are the smallest, so its run of finite
+            # cells is the longest on this diagonal
+            best = max(best, lead + len(tail) - (last == inf))
+        prev, diag = cur, diag + 1
+    if stats is not None:
+        stats.cell_visits += visits
+        stats.lcsuf_lookups += columns.lookups
+    if keep:
+        return bests[-1], list(zip(bests, kept))
+    return best, []
 
 
 def slcs_diagonal(
@@ -483,45 +499,8 @@ def slcs_diagonal(
     stats: SolveStats | None = None,
 ) -> int:
     """Segmental LCS length via the sparse diagonal tables, diagonal by
-    diagonal with every filled level inside each: level h on diagonal d
-    reads only level h on d-1 and level h-1 on d. The levels stop together
+    diagonal with every filled level inside each. The levels stop together
     when no later diagonal can beat the answer, so the scan pointers visit
-    at most f*n2*(n1 - answer + 1) positions.
-
-    The filled levels are 1..top; every level above ``top`` has equalled it
-    on every diagonal so far. Level top+1 starts on the first diagonal where
-    level top differs from level top-1, from level top's column on the
-    diagonal before; level 1 is not the same function of level 0, so level 2
-    is always filled.
-    """
+    at most f*n2*(n1 - answer + 1) positions."""
     t1, t2, f, _ = _oriented(t1, t2, f)
-    n1, n2 = len(t1), len(t2)
-    inf = n2 + 1
-    columns = _Columns(t1, t2)
-    column = columns.column
-    # prev[h - 1] is level h's column on the previous diagonal, h = 1..top
-    prev: list[tuple[list[int], int]] = [([], 0)] * min(2, f)
-    best = visits = diag = 0
-    while diag < n1 - best:
-        cur: list[tuple[list[int], int]] = []
-        up: tuple[list[int], int] = ([], 0)
-        for h in range(1, f + 1):
-            if h > len(prev):
-                if up == cur[-2]:
-                    break
-                prev.append(prev[-1])
-            up = column(h, diag, *prev[h - 1], *up)
-            cur.append(up)
-            tail, lead = up
-            # each finite cell moved the pointer from j to its value + 1, so the
-            # scan visited up to the last finite value, or all of t2 at an inf
-            last = tail[-1] if tail else lead
-            visits += min(last, n2)
-        # the top level's cells are the smallest, so its run of finite cells
-        # is the longest on this diagonal
-        best = max(best, lead + len(tail) - (last == inf))
-        prev, diag = cur, diag + 1
-    if stats is not None:
-        stats.cell_visits += visits
-        stats.lcsuf_lookups += columns.lookups
-    return best
+    return _run(t1, t2, f, stats, False)[0]

@@ -222,13 +222,10 @@ def lcsuf_query(index, i: int, j: int) -> int:
 def drain_diagonal(
     t1: bytes, t2: bytes, f: int, stats: SolveStats | None = None
 ) -> tuple[list[int], list[list[list[int]]]]:
-    """Every (answer, level) that ``diagonal_levels`` yields, kept: the
-    answers at budgets 1..f' and the levels, budget h at index h-1."""
-    answers, levels = [], []
-    for answer, level in diagonal_levels(t1, t2, f, stats):
-        answers.append(answer)
-        levels.append(level)
-    return answers, levels
+    """``diagonal_levels`` split into the answers at budgets 1..f' and the
+    levels, budget h at index h-1."""
+    answers, levels = zip(*diagonal_levels(t1, t2, f, stats))
+    return list(answers), list(levels)
 
 
 def diagonal_cells(levels: list[list[list[int]]]):

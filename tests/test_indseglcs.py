@@ -172,7 +172,11 @@ class TestSolver:
             t1, t2 = random_text(rng, 8), random_text(rng, 8)
             f1 = rng.randint(1, 5)
             f2 = rng.randint(1, 5)
-            assert indseglcs(t1, t2, f1, f2) == indseglcs_bruteforce(t1, t2, f1, f2)
+            want = indseglcs_bruteforce(t1, t2, f1, f2)
+            assert indseglcs(t1, t2, f1, f2) == want
+            assert slcs_bruteforce(t1, t2, min(f1, f2)) <= want, (t1, t2, f1, f2)
+            upper = min(classic_lcs_len(t1, t2), slcs_bruteforce(t1, t2, f1 + f2 - 1))
+            assert want <= upper, (t1, t2, f1, f2)
 
     def test_family_choice_is_immaterial(self):
         rng = random.Random(34)
@@ -614,8 +618,13 @@ class TestNearLcsSearch:
 
 
 def test_metamorphic_properties():
-    # lengths 20-60, above the brute-force oracle's cap
+    # lengths 20-60, above the brute-force oracle's cap. A common string cut
+    # at the union of both cut sets splits into at most f1 + f2 - 1 pieces,
+    # each contiguous in both texts, so the answer lies between the shared
+    # answers at min(f1, f2) and at f1 + f2 - 1; the upper one is below the
+    # LCS on some of these pairs
     rng = random.Random(40)
+    below_lcs = 0
     for _ in range(16):
         n1, n2 = rng.randint(20, 60), rng.randint(20, 60)
         k = rng.choice((2, 3, 4))
@@ -632,4 +641,10 @@ def test_metamorphic_properties():
         assert table_fills(t1, t2, f1, f2, "count") == [base] * 3
         assert table_fills(t1, t2, f1, f2, "score") == [base] * 3
         f = min(f1, f2)
-        assert indseglcs(t1, t2, f, f) >= slcs_diagonal(t1, t2, f)
+        shared = slcs_diagonal(t1, t2, f)
+        assert indseglcs(t1, t2, f, f) >= shared
+        assert shared <= base, (t1, t2, f1, f2)
+        lcs, upper = classic_lcs_len(t1, t2), slcs_diagonal(t1, t2, f1 + f2 - 1)
+        assert base <= min(lcs, upper), (t1, t2, f1, f2)
+        below_lcs += upper < lcs
+    assert below_lcs

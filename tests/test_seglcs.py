@@ -709,10 +709,10 @@ class TestFixedPoint:
         assert all(level is levels[1] for level in levels[2:])
 
     def test_visits_never_fall_with_budget(self):
-        # the baseline and the layer-major levels fill more cells at a larger
-        # budget; slcs_diagonal may fill fewer, since a larger f can raise
-        # the answer and so cut more diagonals than it adds levels, but it
-        # stays within the paper's bound
+        # the baseline and diagonal_levels, whose levels each stop at their
+        # own cutoff, fill more cells at a larger budget; slcs_diagonal may
+        # fill fewer, since a larger f can raise the answer and so cut more
+        # diagonals than it adds levels, but it stays within the paper's bound
         rng = random.Random(43)
         for _ in range(60):
             t1, t2 = random_text(rng, 20), random_text(rng, 20)
@@ -801,23 +801,36 @@ class TestVisitCounters:
 
 
 def _assert_counters_match_tables(
-    answers: list, levels: list, stats: SolveStats, t1: bytes, t2: bytes
+    answers: list, levels: list, stats: SolveStats, lean_stats: SolveStats,
+    t1: bytes, t2: bytes,
 ) -> None:
-    """Read the counters off the filled levels that ``drain_diagonal`` kept:
-    the scan pointer ends each column at min(last value, n2), a level's
-    answer is its longest run of finite cells, and the layer-major scan
-    stays within sum_h n2*(n1 - answer(h) + 1), with n1 <= n2."""
+    """Read the counters off the levels that ``drain_diagonal`` kept. Levels
+    1 and 2 are filled from diagonal 0 and level h from the first diagonal
+    where level h-1 differs from level h-2; before that its columns are the
+    level below's. The scan pointer ends each filled column at min(last
+    value, n2), a level's answer is its longest run of finite cells, and
+    each level's scan stays within n2*(n1 - answer(h) + 1), with n1 <= n2.
+    A length-only solve fills the same columns up to the diagonals that the
+    top level reached, and takes no more lookups."""
     n1, n2 = sorted((len(t1), len(t2)))
-    visits = bound = 0
+    reached = len(levels[-1])
+    visits = lean_visits = bound = start = 0
     for h, (answer, columns) in enumerate(zip(answers, levels)):
         if h and columns is levels[h - 1]:
             continue  # a level past the fixed point is not filled
-        visits += sum(min(column[-1], n2) for column in columns)
+        if h >= 2:
+            pairs = enumerate(zip(levels[h - 1], levels[h - 2]))
+            start = next((diag for diag, (a, b) in pairs if a != b), None)
+            assert start is not None, h + 1  # else level h+1 is level h's list
+        visits += sum(min(column[-1], n2) for column in columns[start:])
+        lean_visits += sum(min(column[-1], n2) for column in columns[start:reached])
         finite = [len(c) - 1 - (c[-1] == n2 + 1) for c in columns]
         assert answer == max(finite, default=0), h + 1
         bound += n2 * (n1 - answer + 1)
     assert stats.cell_visits == visits
     assert stats.cell_visits <= bound
+    assert lean_stats.cell_visits == lean_visits
+    assert lean_stats.lcsuf_lookups <= stats.lcsuf_lookups
 
 
 def test_diagonal_runs_match_shortest_prefix_tables():
@@ -831,9 +844,7 @@ def test_diagonal_runs_match_shortest_prefix_tables():
         stats, lean_stats = SolveStats(), SolveStats()
         answers, levels = drain_diagonal(t1, t2, f, stats)
         assert slcs_diagonal(t1, t2, f, stats=lean_stats) == answers[-1], (t1, t2, f)
-        _assert_counters_match_tables(answers, levels, stats, t1, t2)
-        assert lean_stats.cell_visits <= stats.cell_visits
-        assert lean_stats.lcsuf_lookups <= stats.lcsuf_lookups
+        _assert_counters_match_tables(answers, levels, stats, lean_stats, t1, t2)
         short, long = sorted((t1, t2), key=len)
         if short:
             full = shortest_prefix_tables(short, long, len(levels))
@@ -854,9 +865,7 @@ def test_near_copy_runs_match_shortest_prefix_tables():
         stats, lean_stats = SolveStats(), SolveStats()
         answers, levels = drain_diagonal(t1, t2, f, stats)
         assert slcs_diagonal(t1, t2, f, stats=lean_stats) == answers[-1], (t1, t2, f)
-        _assert_counters_match_tables(answers, levels, stats, t1, t2)
-        assert lean_stats.cell_visits <= stats.cell_visits
-        assert lean_stats.lcsuf_lookups <= stats.lcsuf_lookups
+        _assert_counters_match_tables(answers, levels, stats, lean_stats, t1, t2)
         full = shortest_prefix_tables(t1, t2, len(levels))
         for h, i, s, value in diagonal_cells(levels):
             assert value == full[h][i][s], (t1, t2, h, i, s)
@@ -891,14 +900,14 @@ def test_leads_match_shortest_prefix_tables(case):
 
 def test_columns_store_only_the_cells_past_their_lead():
     # a tail-edit near copy: every column's lead is the n - 2 symbols that
-    # t1 and t2 share, so the solver stores a few cells per column, and
+    # t1 and t2 share, so the solver keeps a few cells per column, and
     # diagonal_levels writes the lead's cells out in front of each tail
     n = 600
     t1, t2 = generate_instance((n, n), alphabet=8, seed=3, similarity=2)
     short, long, f, _ = seglcs_module._oriented(t1, t2, 4)
-    stored = seglcs_module._levels(short, long, f, None)
+    _, filled = seglcs_module._run(short, long, f, None, True)
     answers = []
-    for (answer, level), (_, pairs) in zip(diagonal_levels(t1, t2, 4), stored):
+    for (answer, level), (_, pairs) in zip(diagonal_levels(t1, t2, 4), filled):
         answers.append(answer)
         assert len(level) == len(pairs)
         for column, (tail, lead) in zip(level, pairs):
@@ -961,7 +970,7 @@ def _lead(column: list[int]) -> int:
 
 
 def test_column_function_refills_every_stored_column():
-    # _levels only schedules the column function: given the tails past the
+    # _run only schedules the column function: given the tails past the
     # leads of a stored column's left and up columns, and those leads, it
     # returns that column's tail and lead
     rng = random.Random(34)
@@ -972,7 +981,7 @@ def test_column_function_refills_every_stored_column():
         columns = seglcs_module._Columns(short, long)
         for h, level in enumerate(levels, start=1):
             if h > 1 and level is levels[h - 2]:
-                break  # past the fixed point every budget yields this list
+                break  # past the fixed point every budget gets this list
             for diag, stored in enumerate(level):
                 left = level[diag - 1] if diag else [0]
                 up = levels[h - 2][diag] if h > 1 else [0]
@@ -998,7 +1007,7 @@ def test_prefix_lengths_rise_strictly_with_the_common_length():
 
 
 def test_no_level_fills_more_diagonals_than_the_level_below():
-    # _levels reads column diag of level h-1 for every diagonal of level h
+    # _run reads column diag of level h-1 for every diagonal of level h
     rng = random.Random(35)
     for t1, t2 in _uniform_tail_and_scattered_pairs(rng, 300):
         _, levels = drain_diagonal(t1, t2, rng.randint(2, 12))
@@ -1007,7 +1016,7 @@ def test_no_level_fills_more_diagonals_than_the_level_below():
 
 
 def test_diagonal_levels_refuses_a_bad_budget_when_called():
-    # no next(): the budget is checked before the generator is returned
+    # the budget is refused before any column is filled
     with pytest.raises(ValueError):
         diagonal_levels(b"ab", b"ab", 0)
 
@@ -1038,7 +1047,7 @@ def test_tail_edits_store_no_lead_cells(f):
 
 
 def test_uniform_pair_takes_lcsuf_lookups():
-    # only 3-gram hits below T(2) take a range minimum; on the layer-major
+    # only 3-gram hits below T(2) take a range minimum; on diagonal_levels'
     # levels of this pair, one per 2-gram hit below T(1) came to 4,648 and
     # the bands take 1,132
     stats = SolveStats()
@@ -1108,9 +1117,9 @@ def test_diagonal_solver_meets_the_paper_bound():
 
 
 def test_scattered_edits_pinned_at_the_paper_bound():
-    # 8 substitutions in 1,000 symbols: the layer-major levels ran level 1
-    # to its longest common substring, 2,525,000 visits; diagonal by
-    # diagonal the levels stop together at 9 * 1000 * (1000 - 992 + 1)
+    # 8 substitutions in 1,000 symbols: diagonal_levels runs level 1 to its
+    # own cutoff, set by the longest common substring, 2,525,000 visits;
+    # slcs_diagonal stops the levels together at 9 * 1000 * (1000 - 992 + 1)
     t1, t2 = _scattered_pair(random.Random(1), 1000, 8)
     stats = SolveStats()
     assert slcs_diagonal(t1, t2, 9, stats=stats) == 992 == slcs_baseline(t1, t2, 9)
