@@ -123,30 +123,13 @@ def _cmd_gen(args) -> Result:
     return {"texts": [_latin(t) for t in texts]}, list(texts), 0
 
 
-def _shell_word(data: bytes) -> str:
-    text = _latin(data)
-    if text.isascii() and text.isprintable() and not text.startswith(("@", "-")):
-        return shlex.quote(text)
-    # any other text, or one that argparse would read as an option or the CLI
-    # as a file name, reaches the CLI as an @file that bash makes from octal
-    # escapes; the trailing \r\n is what the file reader strips
-    return "@<(printf '" + "".join(f"\\{b:03o}" for b in data) + "\\r\\n')"
-
-
 def _replay_command(m: harness.Mismatch) -> str:
-    """The ``segsub`` command that reruns a mismatched case with the
-    algorithm that failed it."""
-    a, b = (_shell_word(t) for t in m.texts)
-    if m.kind == "minsege":
-        args = f"--text {a} --pattern {b}"
-    elif m.kind == "sege":
-        args = f"--text {a} --pattern {b} --segments {m.budgets[0]}"
-    elif m.kind == "seglcs":
-        mode = "--witness" if m.algorithm == "witness" else f"--algo {m.algorithm}"
-        args = f"--t1 {a} --t2 {b} --segments {m.budgets[0]} {mode}"
-    else:
-        args = f"--t1 {a} --t2 {b} --f1 {m.budgets[0]} --f2 {m.budgets[1]}"
-    return f"segsub {m.kind} {args}"
+    """A POSIX-shell command that reruns the call a mismatch checked, on the
+    same bytes, and prints the value the difftest compared."""
+    args = ", ".join(map(repr, (*m.texts, *m.budgets)))
+    return "python3 -c " + shlex.quote(
+        f"import {m.algorithm.rpartition('.')[0]}; print({m.algorithm}({args}))"
+    )
 
 
 def _cmd_difftest(args) -> Result:
@@ -207,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, required=True,
                    help="budget f: at most f pieces, each contiguous in both texts")
     mode = p.add_mutually_exclusive_group()
-    # difftest's REPLAY lines name the solver that failed through --algo
     mode.add_argument("--algo", choices=("diagonal", "baseline", "oracle"),
                       help="solver (default: diagonal); baseline, the dense "
                            "O(f*n1*n2) fill, is faster on unrelated texts and on "

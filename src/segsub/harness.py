@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import dataclass, field
 
-from . import oracle, segmatch, seglcs
+from . import oracle, seglcs
 from .core import verify_embedding
-from .independent import indseglcs
 
 def generate_instance(
     lengths: tuple[int, int],
@@ -78,7 +78,7 @@ class Mismatch:
     kind: str
     texts: tuple[bytes, bytes]
     budgets: tuple[int, ...]
-    algorithm: str
+    algorithm: str  # the call checked: module path and function name
     expected: object
     got: object
 
@@ -130,8 +130,8 @@ def differential_run(
     indseglcs cases, chosen by the case seed, are equal-length near copies
     with up to three substitutions at random positions, where the slcs bound
     often falls just short of the LCS and the table band is narrowest.
-    Both seglcs solvers and the witness are looked up on their module at
-    each case, so a test can swap one out.
+    Every checked call is looked up on its module at each case, so a test
+    can swap one out.
     """
     for name, value in (("count", count), ("max_len", max_len)):
         if value < 0:
@@ -143,13 +143,25 @@ def differential_run(
         )
     rng = random.Random(seed)
     report = DifferentialReport(cases=count)
+    # the calls that each kind of case checks, in order, by the names that a
+    # mismatch carries and its replay imports
+    calls = {
+        "minsege": ["segsub.segmatch.min_segments"],
+        "sege": ["segsub.segmatch.sege"],
+        "seglcs": ["segsub.seglcs.slcs_baseline", "segsub.seglcs.slcs_diagonal",
+                   "segsub.harness._witness_length"],
+        "indseglcs": ["segsub.independent.indseglcs"],
+    }
 
-    def record(kind, texts, budgets, algorithm, expected, got):
-        report.checks += 1
-        if expected != got:
-            report.mismatches.append(
-                Mismatch(kind, texts, budgets, algorithm, expected, got)
-            )
+    def check(kind, texts, budgets, expected):
+        for call in calls[kind]:
+            module, name = call.rsplit(".", 1)
+            got = getattr(importlib.import_module(module), name)(*texts, *budgets)
+            report.checks += 1
+            if expected != got:
+                report.mismatches.append(
+                    Mismatch(kind, texts, budgets, call, expected, got)
+                )
 
     for case in range(count):
         case_seed = rng.randrange(1 << 30)
@@ -158,12 +170,9 @@ def differential_run(
         pair = generate_instance((n_t, n_p), alphabet=alphabet, seed=case_seed)
         t, p = pair
         truth = oracle.min_segments_bruteforce(t, p)
-        record(
-            "minsege", pair, (), "min_segments", truth, segmatch.min_segments(t, p)
-        )
+        check("minsege", pair, (), truth)
         for f in (1, 2, rng.randint(1, max_len + 2)):
-            expected = truth is not None and truth <= f
-            record("sege", pair, (f,), "sege", expected, segmatch.sege(t, p, f))
+            check("sege", pair, (f,), truth is not None and truth <= f)
 
         if case % 2 == 0:
             n1 = rng.randint(0, max_len)
@@ -181,11 +190,7 @@ def differential_run(
                 t2 = _substituted(rng, t1, t2, 2)
             texts = (t1, t2)
             f = rng.randint(1, max(1, min(len(t1), len(t2)) + 2))
-            expected = oracle.slcs_bruteforce(t1, t2, f)
-            for name, solver in (("baseline", seglcs.slcs_baseline),
-                                 ("diagonal", seglcs.slcs_diagonal),
-                                 ("witness", _witness_length)):
-                record("seglcs", texts, (f,), name, expected, solver(t1, t2, f))
+            check("seglcs", texts, (f,), oracle.slcs_bruteforce(t1, t2, f))
         else:
             n1, n2 = rng.randint(0, max_len), rng.randint(0, max_len)
             near = case_seed % 2  # not drawn from rng: other cases stay the same
@@ -199,9 +204,6 @@ def differential_run(
             # draws from rng are the same for a near copy
             f1 = rng.randint(1, max(1, n1 // 2 + 2))
             f2 = rng.randint(1, max(1, n2 // 2 + 2))
-            expected = oracle.indseglcs_bruteforce(t1, t2, f1, f2)
-            record(
-                "indseglcs", texts, (f1, f2), "tables",
-                expected, indseglcs(t1, t2, f1, f2),
-            )
+            check("indseglcs", texts, (f1, f2),
+                  oracle.indseglcs_bruteforce(t1, t2, f1, f2))
     return report

@@ -91,6 +91,15 @@ def _cost_columns(t: bytes, p: bytes) -> Iterator[tuple[np.ndarray, np.ndarray]]
         yield d, e
 
 
+def _dp_min_segments(t: bytes, p: bytes) -> int | None:
+    """The dynamic program's answer: one more than the least cost in the
+    last E column, or None when that cost is past n + m (no embedding)."""
+    for _, e in _cost_columns(t, p):
+        pass
+    best = int(e.min())
+    return best + 1 if best < len(t) + len(p) + 1 else None
+
+
 def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     """Smallest f making ``p`` an f-segmental subsequence of ``t``.
 
@@ -103,12 +112,7 @@ def min_segments(t: bytes | str, p: bytes | str) -> int | None:
     """
     t, p = as_text(t), as_text(p)
     needed = _layers(t, p, _FIRST_CAP)
-    if needed is not None:
-        return needed
-    for _, e in _cost_columns(t, p):
-        pass
-    best = int(e.min())
-    return best + 1 if best < len(t) + len(p) + 1 else None
+    return needed if needed is not None else _dp_min_segments(t, p)
 
 
 def seg2_linear(t: bytes | str, p: bytes | str) -> bool:

@@ -5,7 +5,6 @@ import json
 import os
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -213,45 +212,54 @@ def test_difftest_replay_reproduces_fault(capsys, text_off_by_one):
     # the run catches the fault, and its lines alternate MISMATCH, REPLAY
     assert code == 1 and lines and len(lines) % 2 == 0
     for mismatch, replay in zip(lines[::2], lines[1::2]):
-        assert mismatch.startswith("MISMATCH seglcs algo=diagonal ")
+        assert mismatch.startswith("MISMATCH seglcs algo=segsub.seglcs.slcs_diagonal ")
         expected, got = mismatch.split(" expected=")[1].split(" got=")
-        assert replay.startswith("REPLAY segsub ")
-        code, replayed, _ = run(capsys, *shlex.split(replay)[2:])
-        assert code == 0 and replayed == got + "\n" != expected + "\n"
+        assert shlex.split(replay)[:3] == ["REPLAY", "python3", "-c"]
+        # run in this process, so that the call it makes is the patched one
+        exec(shlex.split(replay)[3], {})
+        assert capsys.readouterr().out == got + "\n" != expected + "\n"
 
 
-@pytest.mark.parametrize("kind, budgets, algorithm, argv", [
-    ("minsege", (), "min_segments", ["minsege", "--text", "abc", "--pattern", "ac"]),
-    ("sege", (2,), "sege",
-     ["sege", "--text", "abc", "--pattern", "ac", "--segments", "2"]),
-    ("seglcs", (3,), "baseline",
-     ["seglcs", "--t1", "abc", "--t2", "ac", "--segments", "3", "--algo", "baseline"]),
-    ("indseglcs", (1, 2), "tables",
-     ["indseglcs", "--t1", "abc", "--t2", "ac", "--f1", "1", "--f2", "2"]),
-    ("seglcs", (3,), "witness",
-     ["seglcs", "--t1", "abc", "--t2", "ac", "--segments", "3", "--witness"]),
-])
-def test_replay_command_per_kind(kind, budgets, algorithm, argv):
-    m = Mismatch(kind, (b"abc", b"ac"), budgets, algorithm, 0, 1)
-    assert shlex.split(_replay_command(m)) == ["segsub", *argv]
-
-
-@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
-def test_replay_texts_survive_the_shell():
-    # a NUL byte, a leading "@" or "-", trailing line ends and an ASCII
-    # control byte cannot pass as they are, and the command stays one line
+def run_replay_in_sh(m: Mismatch) -> str:
+    """Run a mismatch's replay as its own process under /bin/sh, with this
+    interpreter and this checkout's segsub, and return what it prints."""
+    command = _replay_command(m)
+    assert command.startswith("python3 -c ") and "\n" not in command
+    command = command.replace("python3", shlex.quote(sys.executable), 1)
     env = {**os.environ, "PYTHONPATH": str(Path(segsub.__file__).parents[1])}
-    for text in (b"@" + bytes(range(256)) + b"\r\n", b"-ab", b"a\nb"):
-        m = Mismatch("seglcs", (text, text), (1,), "baseline", 0, 1)
-        command = _replay_command(m).replace(
-            "segsub", f"{shlex.quote(sys.executable)} -m segsub.cli", 1
-        ).replace(" --algo baseline", " --witness")
-        assert "\n" not in command, text
-        done = subprocess.run(["bash", "-c", command + " --json"],
-                              capture_output=True, env=env, timeout=60)
-        assert done.returncode == 0, (text, done.stderr)
-        witness = json.loads(done.stdout)["witness"]
-        assert witness["segments"] == [text.decode("latin-1")]
+    done = subprocess.run(["/bin/sh", "-c", command],
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.decode()
+
+
+# every byte value, a leading "@", and a trailing CR LF
+EVERY_BYTE = b"@" + bytes(range(256)) + b"\r\n"
+
+
+@pytest.mark.parametrize("kind, budgets, call, got", [
+    ("minsege", (), "segsub.segmatch.min_segments", 129),
+    ("sege", (129,), "segsub.segmatch.sege", True),
+    ("seglcs", (4,), "segsub.seglcs.slcs_baseline", 5),
+    ("seglcs", (4,), "segsub.seglcs.slcs_diagonal", 5),
+    ("seglcs", (4,), "segsub.harness._witness_length", 5),
+    ("indseglcs", (3, 2), "segsub.independent.indseglcs", 4),
+])
+def test_replay_command_per_kind(kind, budgets, call, got):
+    # t2, the even byte values then CR LF, takes one segment of t1 per even
+    # byte and one for the CR LF: 129 in all
+    texts = (EVERY_BYTE, bytes(range(0, 256, 2)) + b"\r\n")
+    m = Mismatch(kind, texts, budgets, call, None, got)
+    assert run_replay_in_sh(m) == f"{got}\n"
+
+
+def test_replay_texts_survive_the_shell():
+    # texts that a shell or an argument parser could alter: a NUL byte, a
+    # leading "@" or "-", a trailing CR LF, a line feed and both quote marks
+    for text in (EVERY_BYTE, b"-ab", b"a\nb", b"it's \"quoted\""):
+        m = Mismatch("seglcs", (text, text), (1,),
+                     "segsub.harness._witness_length", None, len(text))
+        assert run_replay_in_sh(m) == f"{len(text)}\n", text
 
 
 def test_usage_error_budget(capsys):
@@ -317,9 +325,10 @@ EPISODE = ["reduce-episode", "--text", "0101", "--pattern", "00", "--bound", "3"
     (["difftest", "--count", "1", "--seed", "2"], "text_off_by_one", 1,
      {"cases": 1, "checks": 7, "mismatches": [{
          "kind": "seglcs", "texts": ["bbacbcccaa", "caab"], "budgets": [3],
-         "algorithm": "diagonal", "expected": 3, "got": 2,
-         "replay": "segsub seglcs --t1 bbacbcccaa --t2 caab --segments 3"
-                   " --algo diagonal"}]}),
+         "algorithm": "segsub.seglcs.slcs_diagonal", "expected": 3, "got": 2,
+         "replay": "python3 -c " + shlex.quote(
+             "import segsub.seglcs; print(segsub.seglcs.slcs_diagonal("
+             "b'bbacbcccaa', b'caab', 3))")}]}),
     (["seglcs", "--t1", "abcb", "--t2", "bcab", "--segments", "2",
       "--dump-tables"], None, 0,
      {"length": 3, "tables": [

@@ -72,7 +72,8 @@ class TestDifferential:
         )
         report = differential_run(200, max_len=9, seed=42)
         assert not report.ok
-        assert all(m.algorithm == "diagonal" for m in report.mismatches)
+        assert all(m.algorithm == "segsub.seglcs.slcs_diagonal"
+                   for m in report.mismatches)
 
     def test_witness_that_does_not_embed_is_detected(self, monkeypatch):
         # the witness's embedding into t2 starts one place late
@@ -86,4 +87,5 @@ class TestDifferential:
         report = differential_run(200, max_len=9, seed=42)
         assert report.mismatches
         for m in report.mismatches:
-            assert (m.kind, m.algorithm, m.got) == ("seglcs", "witness", None)
+            assert (m.kind, m.algorithm, m.got) == (
+                "seglcs", "segsub.harness._witness_length", None)
