@@ -125,9 +125,10 @@ def _cmd_gen(args) -> Result:
 
 def _replay_command(m: harness.Mismatch) -> str:
     """A POSIX-shell command that reruns the call a mismatch checked, on the
-    same bytes, and prints the value the difftest compared."""
+    same bytes and with this interpreter, and prints the value the difftest
+    compared."""
     args = ", ".join(map(repr, (*m.texts, *m.budgets)))
-    return "python3 -c " + shlex.quote(
+    return shlex.quote(sys.executable) + " -c " + shlex.quote(
         f"import {m.algorithm.rpartition('.')[0]}; print({m.algorithm}({args}))"
     )
 

@@ -59,18 +59,20 @@ def generate_instance(
     return first, second
 
 
-def _witness_length(t1: bytes, t2: bytes, f: int) -> int | None:
-    """The length of ``seglcs.slcs_witness``'s witness, or None when the
-    witness is not a string of that length in at most f segments that
-    embeds into both texts."""
+def _witness_length(t1: bytes, t2: bytes, f: int) -> int | str:
+    """The length of ``seglcs.slcs_witness``'s witness, or, when the witness
+    is not a string of that length in at most f segments that embeds into
+    both texts, a short string naming the first of those checks it fails."""
     length, seg, e1, e2 = seglcs.slcs_witness(t1, t2, f)
-    valid = (
-        len(seg.pattern) == length
-        and seg.segment_count <= f
-        and verify_embedding(t1, e1)
-        and verify_embedding(t2, e2)
-    )
-    return length if valid else None
+    if len(seg.pattern) != length:
+        return "pattern length is not the witness length"
+    if seg.segment_count > f:
+        return "more than f segments"
+    if not verify_embedding(t1, e1):
+        return "does not embed in t1"
+    if not verify_embedding(t2, e2):
+        return "does not embed in t2"
+    return length
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,13 @@ bit-parallel over t1 (Hyyro 2004), and it is the answer outright when both
 budgets are saturated (g1 = g2 = 0). Otherwise, as a certificate, one LCS
 string is traced back over the bit-parallel rows; when it embeds in t1
 within f1 pieces and in t2 within f2, it is a longest common string within
-both budgets, and the LCS is the answer with no table. The rows, one int of
-n1 bits per symbol of t2, are kept only where they take no more bytes than
-the five diagonals; otherwise this exit and the next are skipped. When the
+both budgets, and the LCS is the answer with no table. The trace counts, in
+each text, the maximal runs of consecutive positions that its matches use:
+they cut the string into that many substrings of the text, in order, so a
+side whose count is within its budget needs no matcher, and ``sege`` runs
+only for a side whose count exceeds it. The rows, one int of n1 bits per
+symbol of t2, are kept only where they take no more bytes than the five
+diagonals; otherwise this exit and the next are skipped. When the
 traced string does not fit, ``_near_lcs`` searches the chains of matches
 for lengths LCS, LCS - 1, ... in turn, each time only among the matches
 that a chain of that length can use, and returns the first length that
@@ -171,23 +175,32 @@ def _lcs_length(t1: bytes, t2: bytes) -> int:
     return len(t1) - deque(_lcs_rows(t1, t2), maxlen=1)[0].bit_count()
 
 
-def _lcs_string(t1: bytes, t2: bytes) -> bytes:
-    """One longest common subsequence, traced back over all of ``_lcs_rows``:
-    a match is always a diagonal step; otherwise L(i - 1, j) = L(i, j)
-    exactly where bit i - 1 of v_j is set, and the trace goes up there and
-    left elsewhere."""
+def _lcs_string(t1: bytes, t2: bytes) -> tuple[bytes, int, int]:
+    """One longest common subsequence, traced back over all of ``_lcs_rows``,
+    with the maximal runs of consecutive positions that its matches use in
+    t1 and in t2: a match is always a diagonal step; otherwise L(i - 1, j) =
+    L(i, j) exactly where bit i - 1 of v_j is set, and the trace goes up
+    there and left elsewhere. The runs cut the string into that many
+    substrings of each text, in order, so ``min_segments`` is at most each
+    count, and a count is 0 only for the empty string."""
     rows = list(_lcs_rows(t1, t2))
     out = bytearray()
+    pieces1 = pieces2 = 0
     i, j = len(t1), len(t2)
+    # i and j as the last match left them: a match there extends its run
+    last1 = last2 = -1
     while i and j:
         if t1[i - 1] == t2[j - 1]:
             out.append(t1[i - 1])
+            pieces1 += i != last1
+            pieces2 += j != last2
             i, j = i - 1, j - 1
+            last1, last2 = i, j
         elif rows[j] >> (i - 1) & 1:
             i -= 1
         else:
             j -= 1
-    return bytes(out[::-1])
+    return bytes(out[::-1]), pieces1, pieces2
 
 
 # bytes held per match or state of the search: a tuple in a list, and for a
@@ -308,8 +321,11 @@ def indseglcs(
     # bytes; the rows are kept only where they take no more than the diagonals
     rows = (n2 + 1) * (36 + n1 / 7.5)
     if rows <= diagonals:
-        common = _lcs_string(t1, t2)
-        if sege(t1, common, cfg1.f) and sege(t2, common, cfg2.f):
+        # the trace cuts its string into pieces1 substrings of t1 and pieces2
+        # of t2; the matcher runs only for a side whose count is over budget
+        common, pieces1, pieces2 = _lcs_string(t1, t2)
+        if ((pieces1 <= cfg1.f or sege(t1, common, cfg1.f))
+                and (pieces2 <= cfg2.f or sege(t2, common, cfg2.f))):
             return len(common)  # a longest common string within both budgets
         # the search holds no more than the rows leave of the diagonals, and
         # stops within 64 steps, some 20 us, per anti-diagonal of the fill

@@ -214,7 +214,7 @@ def test_difftest_replay_reproduces_fault(capsys, text_off_by_one):
     for mismatch, replay in zip(lines[::2], lines[1::2]):
         assert mismatch.startswith("MISMATCH seglcs algo=segsub.seglcs.slcs_diagonal ")
         expected, got = mismatch.split(" expected=")[1].split(" got=")
-        assert shlex.split(replay)[:3] == ["REPLAY", "python3", "-c"]
+        assert shlex.split(replay)[:3] == ["REPLAY", sys.executable, "-c"]
         # run in this process, so that the call it makes is the patched one
         exec(shlex.split(replay)[3], {})
         assert capsys.readouterr().out == got + "\n" != expected + "\n"
@@ -222,10 +222,11 @@ def test_difftest_replay_reproduces_fault(capsys, text_off_by_one):
 
 def run_replay_in_sh(m: Mismatch) -> str:
     """Run a mismatch's replay as its own process under /bin/sh, with this
-    interpreter and this checkout's segsub, and return what it prints."""
+    checkout's segsub, and return what it prints."""
     command = _replay_command(m)
-    assert command.startswith("python3 -c ") and "\n" not in command
-    command = command.replace("python3", shlex.quote(sys.executable), 1)
+    # the replay names the interpreter that runs these tests
+    assert command.startswith(shlex.quote(sys.executable) + " -c ")
+    assert "\n" not in command
     env = {**os.environ, "PYTHONPATH": str(Path(segsub.__file__).parents[1])}
     done = subprocess.run(["/bin/sh", "-c", command],
                           capture_output=True, env=env, timeout=60)
@@ -326,7 +327,7 @@ EPISODE = ["reduce-episode", "--text", "0101", "--pattern", "00", "--bound", "3"
      {"cases": 1, "checks": 7, "mismatches": [{
          "kind": "seglcs", "texts": ["bbacbcccaa", "caab"], "budgets": [3],
          "algorithm": "segsub.seglcs.slcs_diagonal", "expected": 3, "got": 2,
-         "replay": "python3 -c " + shlex.quote(
+         "replay": shlex.quote(sys.executable) + " -c " + shlex.quote(
              "import segsub.seglcs; print(segsub.seglcs.slcs_diagonal("
              "b'bbacbcccaa', b'caab', 3))")}]}),
     (["seglcs", "--t1", "abcb", "--t2", "bcab", "--segments", "2",

@@ -4,7 +4,7 @@ import pytest
 
 from segsub import seglcs
 from segsub.core import Embedding
-from segsub.harness import differential_run, generate_instance
+from segsub.harness import _witness_length, differential_run, generate_instance
 from segsub.seglcs import slcs_baseline, slcs_diagonal
 
 
@@ -75,6 +75,30 @@ class TestDifferential:
         assert all(m.algorithm == "segsub.seglcs.slcs_diagonal"
                    for m in report.mismatches)
 
+    @pytest.mark.parametrize("fault, named", [
+        ("length", "pattern length is not the witness length"),
+        ("segments", "more than f segments"),
+        ("t1", "does not embed in t1"),
+        ("t2", "does not embed in t2"),
+    ])
+    def test_witness_check_names_the_property_it_fails(self, monkeypatch, fault, named):
+        # at f = 1 the witness is one symbol; at f = 2 it is "ab" in two segments
+        witness = seglcs.slcs_witness
+
+        def faulty(t1, t2, f):
+            if fault == "segments":
+                return witness(t1, t2, f + 1)
+            length, seg, e1, e2 = witness(t1, t2, f)
+            if fault == "length":
+                return length + 1, seg, e1, e2
+            late = {"t1": e1, "t2": e2}[fault]
+            late = Embedding(seg, tuple(s + 1 for s in late.starts))
+            return (length, seg, late, e2) if fault == "t1" else (length, seg, e1, late)
+
+        assert _witness_length(b"axb", b"ayb", 1) == 1
+        monkeypatch.setattr(seglcs, "slcs_witness", faulty)
+        assert _witness_length(b"axb", b"ayb", 1) == named
+
     def test_witness_that_does_not_embed_is_detected(self, monkeypatch):
         # the witness's embedding into t2 starts one place late
         witness = seglcs.slcs_witness
@@ -88,4 +112,4 @@ class TestDifferential:
         assert report.mismatches
         for m in report.mismatches:
             assert (m.kind, m.algorithm, m.got) == (
-                "seglcs", "segsub.harness._witness_length", None)
+                "seglcs", "segsub.harness._witness_length", "does not embed in t2")

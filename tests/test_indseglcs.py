@@ -295,10 +295,16 @@ class TestBoundsAndBand:
                 t2 = bytes(rng.randrange(k) for _ in range(rng.randint(0, 40)))
                 want = classic_lcs_len(t1, t2)
                 assert _lcs_length(t1, t2) == want, (t1, t2)
-                common = _lcs_string(t1, t2)
+                common, pieces1, pieces2 = _lcs_string(t1, t2)
                 assert len(common) == want, (t1, t2)
-                assert min_segments(t1, common) is not None, (t1, t2)
-                assert min_segments(t2, common) is not None, (t1, t2)
+                # the trace's runs are an embedding in that many pieces;
+                # min_segments counts the empty string as one
+                for t, pieces in ((t1, pieces1), (t2, pieces2)):
+                    fewest = min_segments(t, common)
+                    assert fewest is not None, (t1, t2)
+                    assert fewest <= max(1, pieces), (t1, t2)
+                    assert pieces <= len(common), (t1, t2)
+                    assert (pieces == 0) == (not common), (t1, t2)
 
     def test_band_fill_exact_above_oracle_cap(self):
         # near copies and identical texts put the band at one or a few grid
@@ -364,11 +370,12 @@ class TestBoundsAndBand:
 
 
 def _certified(t1, t2, f1, f2):
-    """Whether the traced LCS string fits both budgets, t1 the shorter text."""
+    """Whether the traced LCS string fits both budgets, t1 the shorter text,
+    decided by the matcher on both sides whatever the trace's piece counts."""
     if len(t1) > len(t2):
         t1, t2, f1, f2 = t2, t1, f2, f1
     cfg1, cfg2 = side_config(len(t1), f1), side_config(len(t2), f2)
-    common = _lcs_string(t1, t2)
+    common, _, _ = _lcs_string(t1, t2)
     return sege(t1, common, cfg1.f) and sege(t2, common, cfg2.f)
 
 
@@ -423,11 +430,66 @@ class TestCertificate:
                 missed += 1
         assert fired and missed
 
+    def test_piece_counts_give_the_matchers_verdict(self):
+        # the certificate asks the matcher only for a side whose traced
+        # pieces exceed its budget; above the oracle cap, that verdict is
+        # the matcher's on both sides
+        rng = random.Random(52)
+        rescued = 0
+        for case in range(120):
+            n = rng.randint(24, 300)
+            k = rng.choice((2, 4, 26))
+            if case % 2:
+                t1, t2 = _near_copy(rng, n, k)
+            else:
+                t1 = bytes(97 + rng.randrange(k) for _ in range(n))
+                t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(24, 300)))
+            common, pieces1, pieces2 = _lcs_string(t1, t2)
+            f1, f2 = rng.randint(1, max(1, pieces1 + 2)), rng.randint(1, max(1, pieces2 + 2))
+            fits1, fits2 = sege(t1, common, f1), sege(t2, common, f2)
+            # a side over budget whose string the matcher still accepts
+            rescued += (pieces1 > f1 and fits1) + (pieces2 > f2 and fits2)
+            checked = ((pieces1 <= f1 or sege(t1, common, f1))
+                       and (pieces2 <= f2 or sege(t2, common, f2)))
+            assert checked == (fits1 and fits2), (t1, t2, f1, f2)
+        assert rescued
+
     def test_uniform_pair_needs_no_tables(self, monkeypatch):
         # the full fill took about 0.5 s here, and the slcs bound stops at 97
         _refuse_tables(monkeypatch)
         t1, t2 = generate_instance((160, 160), alphabet=4, seed=1)
         assert indseglcs(t1, t2, 40, 40) == 99 == classic_lcs_len(t1, t2)
+
+    def test_traced_pieces_need_no_matcher(self, monkeypatch):
+        # the trace uses 1 piece of each text at n = 2,000, and 30 of t1 and
+        # 33 of t2 on the uniform pair, all within the budgets
+        def refuse(*args):
+            raise AssertionError("the traced pieces fit both budgets")
+
+        monkeypatch.setattr(independent, "sege", refuse)
+        t1, t2 = generate_instance((2000, 2000), alphabet=4, seed=1, similarity=2)
+        assert indseglcs(t1, t2, 16, 16) == 1998
+        t1, t2 = generate_instance((160, 160), alphabet=4, seed=1)
+        assert indseglcs(t1, t2, 40, 40) == 99
+
+    def test_matcher_runs_only_for_a_side_over_budget(self, monkeypatch):
+        # segbench's first `independent` task at seed 1: the traced LCS
+        # string takes 7 runs of t1, where 6 pieces suffice, and 6 runs of
+        # t2, so only t1's side asks the matcher, which accepts
+        t1, t2 = b"dbabddaddaabbcaccacaddcd", b"adccacaacdcccdacadccbcda"
+        common, pieces1, pieces2 = _lcs_string(t1, t2)
+        assert (pieces1, pieces2) == (7, 6)
+        assert min_segments(t1, common) == min_segments(t2, common) == 6
+        asked = []
+
+        def spy(t, p, f):
+            asked.append((t, p, f))
+            return sege(t, p, f)
+
+        monkeypatch.setattr(independent, "sege", spy)
+        _refuse_tables(monkeypatch)
+        assert indseglcs(t1, t2, 6, 6) == len(common) == classic_lcs_len(t1, t2)
+        assert asked == [(t1, common, 6)]
 
     @pytest.mark.parametrize("n, alphabet", [(80, 2), (80, 26), (100, 4)])
     def test_skipped_bound_needs_no_tables(self, monkeypatch, n, alphabet):
