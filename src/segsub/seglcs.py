@@ -6,11 +6,14 @@ two rows, O(f*n2) space. A match-run array carried with the row stands in
 for the common-suffix term x + C(i-x, h-1, j-x), so a row costs five numpy
 calls over all its levels, with no lcsuf table. The cells are 8-bit, where
 numpy's running maximum is fastest, until one reaches 254, and 32-bit from
-that row on. ``slcs_witness`` keeps every
+that row on. The rows are written in place into a ring of slots: two for the
+baseline, a block of 64 rows for the witness. ``slcs_witness`` keeps every
 row at one bit per cell and traces a witness back through them: along j,
 adjacent cells of a row differ by 0 or 1, as in bit-vector LCS (Allison and
 Dix 1986; Hyyrö 2004), so a row's step bits hold it whole, and a cell is the
-popcount of the steps before it.
+popcount of the steps before it. The step bits are taken a full ring at a
+time, and the traceback holds a row's steps as one int, so it crosses a run
+of zero steps in one jump.
 
 The diagonal solver fills sparse shortest-prefix tables L(i, s, h) one
 column, a diagonal (i - s = const) of one level, at a time with a
@@ -84,10 +87,16 @@ def _oriented(
     return t1, t2, max(1, min(f, len(t1))), swapped
 
 
-def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
+def _table_rows(t1: bytes, t2: bytes, f: int, slots: int = 2) -> Iterator[np.ndarray]:
     """Yield the prefix table C(i, h, j) one row of t1 at a time: row i is an
     array of shape (top_i + 1, n2 + 1) holding levels h = 0..top_i over
     j = 0..n2. Every level above top_i equals level top_i on row i.
+
+    The rows are written in place into a ring of ``slots`` arrays of f+1
+    levels (at least 2 when t1 is nonempty), each row into the slot after
+    the previous row's, starting at slot 0; a row is yielded as a view of
+    its slot, whose ``base`` is the ring. So a row holds until ``slots`` - 1
+    more have been yielded, and a caller that keeps rows copies them.
 
     A match-run array Z rides along with the row: Z(i, h, j) is
     max(C(i-1, h-1, j-1), Z(i-1, h, j-1)) + 1 where t1[i] == t2[j], which is
@@ -97,24 +106,30 @@ def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
     level h is then the running maximum along j of max(C(i-1, h, .),
     Z(i, h, .)).
 
-    The rows, both Z buffers and the masks are uint8, where numpy's running
+    The ring, both Z buffers and the masks are uint8, where numpy's running
     maximum is several times faster than at int32, until the row's largest
-    cell reaches 254; then they are converted to int32, once. A cell grows by
-    at most 1 per row and Z never exceeds C, so no uint8 sum wraps before
-    then. A row never falls along j or with h, so its largest cell is
-    C(i, top, n2), and since C(i, h, j) <= i, a table of fewer than 254 rows
-    never reaches the limit and skips the check.
+    cell reaches 254; then they are converted to int32, once, and the ring
+    is replaced by an int32 one of max(2, slots // 4) slots, so that a ring
+    of 8 or more slots keeps its bytes. The row that reached 254 is copied
+    into the new ring's last slot, so the next row starts it at slot 0. A
+    cell grows by at most 1 per row and Z never exceeds C, so no uint8 sum
+    wraps before then. A row never falls along j or with h, so its largest
+    cell is C(i, top, n2), and since C(i, h, j) <= i, the check starts at
+    row 254.
 
     ``top`` is the lowest level that has equalled the level below it on every
     row so far; the levels above it equal it there and are not filled. When
     row i's level ``top`` differs from level top-1, level top+1 starts on row
-    i+1 from level top's row i, up to level f. Its Z there needs no copy: it
-    would be Z(i, top, .), which never exceeds C(i, top, .), the level below
-    level top+1; the zeros that its buffer holds serve as well.
+    i+1 from level top's row i, copied into the next level of row i's slot,
+    up to level f. Its Z there needs no copy: it would be Z(i, top, .), which
+    never exceeds C(i, top, .), the level below level top+1; the zeros that
+    its buffer holds serve as well.
     """
     n1, n2 = len(t1), len(t2)
     w = n2 + 1
-    yield np.zeros((1, w), dtype=np.uint8)  # row 0 is zero on every level
+    ring = np.zeros((slots, f + 1, w), dtype=np.uint8)
+    k = 0  # row i's slot
+    yield ring[0, :1]  # row 0 is zero on every level
     # Z is one flat buffer, level after level, so that its cell (h, j) reads
     # C's cell (h-1, j-1) and Z's cell (h, j-1) of the row above w+1 and 1
     # places earlier. A fill writes the top*w cells from (1, 1) on: each
@@ -127,27 +142,36 @@ def _table_rows(t1: bytes, t2: bytes, f: int) -> Iterator[np.ndarray]:
         for c in set(t1)
     }
     z, z_next = np.zeros((2, (f + 1) * w + 1), dtype=np.uint8)
-    row = np.zeros((2, w), dtype=np.uint8)  # level 1 starts on row 1
     top = 1
-    narrow = n1 >= 254  # whether the uint8 cells may still reach 254
-    for c in t1:
+    rows = list(ring[:, : top + 1])  # each slot's levels 0..top
+    row = rows[0]  # level 1 starts on row 1
+    narrow = True  # whether the cells are still uint8
+    for i, c in enumerate(t1, 1):
         size = top * w
         fill = z_next[w + 1 : w + 1 + size]
         np.maximum(row.ravel()[:size], z[w : w + size], out=fill)
         fill += 1
         block = fill.reshape(top, w)
         block &= masks[c]
-        row = np.maximum(row, z_next[: size + w].reshape(top + 1, w))
-        np.maximum.accumulate(row[1:], axis=1, out=row[1:])
+        k = (k + 1) % len(rows)
+        row = np.maximum(row, z_next[: size + w].reshape(top + 1, w), out=rows[k])
+        above = row[1:]
+        np.maximum.accumulate(above, axis=1, out=above)
         yield row
         z, z_next = z_next, z
         # comparing bytes skips most of np.array_equal's per-call overhead
         if top < f and row[top].tobytes() != row[top - 1].tobytes():
-            row = np.vstack((row, row[top]))
+            ring[k, top + 1] = row[top]
             top += 1
-        if narrow and row[top, -1] >= 254:
+            rows = list(ring[:, : top + 1])
+            row = rows[k]
+        if narrow and i >= 254 and row[top, -1] >= 254:
             narrow = False
-            row = row.astype(np.int32)
+            ring = np.zeros((max(2, slots // 4), f + 1, w), dtype=np.int32)
+            rows = list(ring[:, : top + 1])
+            k = len(rows) - 1
+            rows[k][:] = row
+            row = rows[k]
             z = z.astype(np.int32)
             z_next = z_next.astype(np.int32)
             for a, mask in masks.items():  # as int8 a mask of ones is -1
@@ -159,19 +183,24 @@ _BLOCK = 64  # rows of step bits that the witness packs at a time
 
 def _dense_bytes(n_short: int, n_long: int, f: int, kept: int) -> int:
     """Bytes that a dense solve allocates when it keeps ``kept`` table rows
-    at one bit per cell. The fill holds two rows and two Z buffers of at
-    most f+1 int32 levels over the longer text and one mask per symbol of
-    the shorter text. They are uint8, a quarter of that, until a cell
-    reaches 254, and are widened to int32 one at a time, so the int32 sizes
-    bound the fill throughout. The kept rows take one packed bit per cell,
-    filled through a block of up to ``_BLOCK`` rows of one bool per cell and
-    its packed copy."""
+    at one bit per cell; a level is f+1 cells over the longer text. The fill
+    holds two Z buffers of a level each and one mask per symbol of the
+    shorter text. They are uint8, a quarter of that, until a cell reaches
+    254, and are widened to int32 one at a time, so the int32 sizes bound
+    them throughout. The rows take a uint8 ring of two slots, or one per row
+    of a block, of a level each, and at the widening also the int32 ring
+    that replaces it while the last uint8 rows are packed. The kept rows
+    take one packed bit per cell, filled a block of up to ``_BLOCK`` rows at
+    a time through one bool per cell and its packed copy."""
     width = n_long + 1
+    level = (f + 1) * width
     symbols = min(n_short, 256)
-    fill = 4 * width * ((f + 1) * 4 + symbols)
+    fill = 4 * (2 * level + symbols * width)
     block = min(_BLOCK, kept)
+    slots = max(2, block)
+    ring = slots * level + 4 * max(2, slots // 4) * level
     packed = (kept + block) * (f + 1) * ((n_long + 7) // 8)
-    return fill + packed + block * (f + 1) * n_long
+    return fill + ring + packed + block * (f + 1) * n_long
 
 
 def slcs_baseline(
@@ -197,9 +226,16 @@ def slcs_witness(
 
     Along j a row steps by 0 or 1, C(i, h, j) <= C(i, h, j-1) + 1, since
     dropping the last symbol of a solution matched to t2[j] leaves at most
-    h segments. So each row is kept as its step bits, packed, and the
-    traceback tracks the value of its cell: a zero step moves left, and a
-    cell of another row is the popcount of that row's steps before it.
+    h segments. So each row is kept as its step bits, packed. The rows are
+    written into a ring of up to ``_BLOCK`` slots, and each time the ring is
+    full, or is replaced by its widened copy, one comparison and one
+    ``packbits`` turn all its rows into step bits.
+
+    The traceback holds the steps before its cell as one int, whose lowest
+    bit is the step into the cell and whose popcount is the cell's value. A
+    run of zero steps moves left in one jump, to the lowest set bit; a cell
+    of the row above is the popcount of that row's int, which is kept when
+    the path moves up.
 
     Returns (length, segmentation, embedding into t1, embedding into t2);
     the empty segmentation when the texts share nothing.
@@ -210,53 +246,67 @@ def slcs_witness(
     # bit j-1 of row i, level h is the step into column j, packed big-endian
     width = (n2 + 7) // 8
     store = np.zeros((n1 + 1, f_used + 1, width), dtype=np.uint8)
-    block = np.empty((min(_BLOCK, n1 + 1), f_used + 1, n2), dtype=bool)
+    slots = min(_BLOCK, n1 + 1)
+    steps = np.empty((slots, f_used + 1, n2), dtype=bool)
     tops: list[int] = []  # levels above a row's top are not kept: they equal it
-    for i, row in enumerate(_table_rows(t1, t2, f_used)):
-        top = len(row) - 1
-        k = i % _BLOCK
-        np.not_equal(row[:, 1:], row[:, :-1], out=block[k, : top + 1])
-        tops.append(top)
-        if k == _BLOCK - 1 or i == n1:
-            # rows of the block with a lower top pack stale levels, never read
-            store[i - k : i + 1, : top + 1] = np.packbits(
-                block[: k + 1, : top + 1], axis=-1
-            )
+    ring = None
+    first = 0  # the row in the ring's slot 0
+
+    def pack(end: int) -> None:
+        """Store the step bits of rows first..end-1, in slots 0.. of the ring;
+        a row whose top is below the last one's packs stale levels above its
+        top, never read."""
+        top = tops[end - 1]
+        block = steps[: end - first, : top + 1]
+        rows = ring[: end - first, : top + 1]
+        np.not_equal(rows[..., 1:], rows[..., :-1], out=block)
+        store[first:end, : top + 1] = np.packbits(block, axis=-1)
+
+    for i, row in enumerate(_table_rows(t1, t2, f_used, slots)):
+        if row.base is not ring:  # row 0, or the first row of the widened ring
+            if i:
+                pack(i)
+            ring, first = row.base, i
+        tops.append(len(row) - 1)
+        if i - first == len(ring) - 1 or i == n1:
+            pack(i + 1)
+            first = i + 1
     length = int(row[-1, -1])
     bits = memoryview(store.reshape(-1))
 
-    def start(i: int, h: int) -> int:
-        """Where row i's bits of level h begin in ``bits``."""
-        return (i * (f_used + 1) + min(h, tops[i])) * width
-
-    def cell(i: int, h: int, j: int) -> int:
-        """C(i, h, j): the steps before column j on row i, level h."""
-        at = start(i, h)
-        steps = int.from_bytes(bits[at : at + (j + 7) // 8], "big")
-        return (steps >> (-j % 8)).bit_count()  # less the bits from column j on
+    def before(i: int, h: int, j: int) -> int:
+        """Row i's steps into columns 1..j of level h, column j's lowest."""
+        at = (i * (f_used + 1) + min(h, tops[i])) * width
+        return int.from_bytes(bits[at : at + (j + 7) // 8], "big") >> (-j % 8)
 
     segments: list[bytes] = []
     starts1: list[int] = []
     starts2: list[int] = []
-    # value is C(i, h, j), so while it is positive so are i, j and h
+    # value is C(i, h, j), the popcount of here, so while it is positive so
+    # are i, j, h and here
     i, j, h, value = n1, n2, f_used, length
+    here = before(i, h, j)
     while value > 0:
-        if not bits[start(i, h) + (j - 1) // 8] >> (7 - (j - 1) % 8) & 1:
-            j -= 1
-        elif cell(i - 1, h, j) == value:
+        zeros = (here & -here).bit_length() - 1  # the zero steps, walked left
+        j -= zeros
+        here >>= zeros
+        up = before(i - 1, h, j)
+        if up.bit_count() == value:
             i -= 1
+            here = up
         else:
             x = 0  # lcsuf(i, j) >= 1 (neither left nor up), walked back
             while x < i and x < j and t1[i - 1 - x] == t2[j - 1 - x]:
                 x += 1
             value -= x
-            assert value == cell(i - x, h - 1, j - x)
             segments.append(t1[i - x : i])
             starts1.append(i - x + 1)
             starts2.append(j - x + 1)
             i -= x
             j -= x
             h -= 1
+            here = before(i, h, j)
+            assert value == here.bit_count()
     segments.reverse()
     starts1.reverse()
     starts2.reverse()

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from segsub.core import as_text
+from segsub.core import Embedding, Segmentation, as_text
 from segsub.harness import generate_instance
 from segsub.independent import _fill, side_config
 from segsub.seglcs import (
@@ -150,9 +150,44 @@ def greedy_subsequence(t: bytes, p: bytes) -> bool:
 def chain_table(t1: bytes, t2: bytes, f: int) -> list:
     """All layers C[h][i, j] for h = 0..f from the baseline's row generator,
     with t1 as the rows and no budget clamping: a row holds levels up to its
-    top, and every level above the top equals it."""
-    rows = list(_table_rows(t1, t2, f))
+    top, and every level above the top equals it. Each row is copied, since
+    the generator writes later rows over it."""
+    rows = [row.copy() for row in _table_rows(t1, t2, f)]
     return [np.array([row[min(h, len(row) - 1)] for row in rows]) for h in range(f + 1)]
+
+
+def witness_reference(t1: bytes, t2: bytes, f: int):
+    """``slcs_witness``'s traceback one cell at a time over ``chain_table``,
+    with the rows over the shorter text and f clamped to it, as the solver
+    does. From C(n1, f, n2) the path moves left while the cell to the left
+    is equal, else up while the cell above is equal, else back over the
+    common suffix to level h-1. Returns the same tuple as ``slcs_witness``."""
+    swapped = len(t1) > len(t2)
+    a, b = (t2, t1) if swapped else (t1, t2)
+    f = max(1, min(f, len(a)))
+    layers = chain_table(a, b, f)
+    i, j, h = len(a), len(b), f
+    length = value = int(layers[h][i, j])
+    pieces = []
+    while value > 0:
+        if layers[h][i, j - 1] == value:
+            j -= 1
+        elif layers[h][i - 1, j] == value:
+            i -= 1
+        else:
+            x = brute_lcsuf(a, b, i, j)
+            value -= x
+            assert layers[h - 1][i - x, j - x] == value
+            pieces.append((a[i - x : i], i - x + 1, j - x + 1))
+            i, j, h = i - x, j - x, h - 1
+    if not pieces:
+        seg = Segmentation((b"",))
+        return 0, seg, Embedding(seg, (1,)), Embedding(seg, (1,))
+    segments, starts1, starts2 = zip(*reversed(pieces))
+    if swapped:
+        starts1, starts2 = starts2, starts1
+    seg = Segmentation(segments)
+    return length, seg, Embedding(seg, starts1), Embedding(seg, starts2)
 
 
 def chain_table_reference(t1: bytes, t2: bytes, f: int) -> list[list[list[int]]]:

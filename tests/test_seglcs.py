@@ -36,6 +36,7 @@ from helpers import (
     seglcs_visit_counts,
     shortest_prefix_tables,
     table_fills,
+    witness_reference,
 )
 
 T1 = b"abcabbac"
@@ -141,7 +142,7 @@ class TestBaseline:
         # texts that differ by two tail edits never start level 3, so the
         # rows stay two levels deep while f = 16 allows sixteen
         t1, t2 = generate_instance((60, 60), alphabet=8, seed=1, similarity=2)
-        rows = list(seglcs_module._table_rows(t1, t2, 16))
+        rows = [row.copy() for row in seglcs_module._table_rows(t1, t2, 16)]
         assert max(len(row) for row in rows) - 1 == 2
         layers = chain_table(t1, t2, 16)
         for h, want in enumerate(chain_table_reference(t1, t2, 16)):
@@ -264,7 +265,7 @@ def test_widened_rows_equal_the_diagonal_solver():
     rng = random.Random(29)
     t1, t2 = _scattered_pair(rng, 600, 3)
     f = 4
-    rows = list(seglcs_module._table_rows(t1, t2, f))
+    rows = [row.copy() for row in seglcs_module._table_rows(t1, t2, f)]
     assert rows[-1][-1, -1] == slcs_diagonal(t1, t2, f) > 254
     for _ in range(40):
         i, j, h = rng.randint(200, 600), rng.randint(200, 600), rng.randint(1, f)
@@ -304,6 +305,42 @@ def test_witness_across_byte_and_block_boundaries(n1, n2):
         for f in sorted({1, 3, max(1, n2)}):
             for a, b in ((t1, t2), (t2, t1)):
                 assert_witness(a, b, f, slcs_baseline(a, b, f))
+                assert slcs_witness(a, b, f) == witness_reference(a, b, f)
+
+
+def test_witness_takes_the_cell_by_cell_path():
+    # the witness packs its step bits a ring of rows at a time and jumps
+    # over runs of zero steps, yet returns exactly the cell-by-cell
+    # traceback's witness: on short pairs over 1-5 and 256 symbols, a third
+    # of them copies with up to three edits in the last quarter, in both
+    # text orders; and on near copies of 250-300 symbols with up to eight
+    # edits, whose rows are widened to int32 part way, on rows that fall
+    # inside a 64-row block
+    rng = random.Random(41)
+    for case in range(1000):
+        alphabet = (1, 2, 3, 4, 5, 256)[case % 6]
+        t1 = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 80)))
+        if case % 3:
+            t2 = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 80)))
+        else:
+            t2 = bytearray(t1)
+            for _ in range(min(len(t1), rng.randint(0, 3))):
+                t2[rng.randrange(len(t1) * 3 // 4, len(t1))] = rng.randrange(alphabet)
+            t2 = bytes(t2)
+        f = rng.randint(1, 12)
+        for a, b in ((t1, t2), (t2, t1)):
+            assert slcs_witness(a, b, f) == witness_reference(a, b, f), (a, b, f)
+    firsts = set()  # the first int32 row of each pair that widens
+    for n in range(250, 301, 2):
+        t1 = bytes(97 + rng.randrange(4) for _ in range(n))
+        edits = rng.randint(0, 8)
+        t2 = _near_copy(rng, t1, edits, 4)
+        f = edits + rng.randint(1, 4)
+        assert slcs_witness(t1, t2, f) == witness_reference(t1, t2, f), (t1, t2, f)
+        rows = seglcs_module._table_rows(t1, t2, f)
+        firsts.add(next((i for i, row in enumerate(rows) if row.dtype == np.int32), 0))
+    # a row that widens as the last of its block is followed by row 64k
+    assert len({i for i in firsts if i % 64}) >= 5, firsts
 
 
 def test_witness_peak_memory():
