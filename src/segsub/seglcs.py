@@ -4,16 +4,17 @@
 row of the shorter text at a time with every level in the row, so it keeps
 two rows, O(f*n2) space. A match-run array carried with the row stands in
 for the common-suffix term x + C(i-x, h-1, j-x), so a row costs five numpy
-calls over all its levels, with no lcsuf table. The cells are 8-bit, where
-numpy's running maximum is fastest, until one reaches 254, and 32-bit from
-that row on. The rows are written in place into a ring of slots: two for the
-baseline, a block of 64 rows for the witness. ``slcs_witness`` keeps every
-row at one bit per cell and traces a witness back through them: along j,
-adjacent cells of a row differ by 0 or 1, as in bit-vector LCS (Allison and
-Dix 1986; Hyyrö 2004), so a row's step bits hold it whole, and a cell is the
-popcount of the steps before it. The step bits are taken a full ring at a
-time, and the traceback holds a row's steps as one int, so it crosses a run
-of zero steps in one jump.
+calls over all its levels, with no lcsuf table. The rows are written in
+place into a ring of slots: two for the baseline, a block of 64 rows for the
+witness. The cells are 8-bit, where numpy's running maximum is fastest, and
+widen to 32-bit at the end of the ring after which a cell could reach 254.
+``slcs_witness`` keeps every row at one bit per cell of its filled levels
+and traces a witness back through them: along j, adjacent cells of a row
+differ by 0 or 1, as in bit-vector LCS (Allison and Dix 1986; Hyyrö 2004),
+so a row's step bits hold it whole, and a cell is the popcount of the steps
+before it. The step bits are taken a full ring at a time and kept at that
+ring's height, and the traceback holds a row's steps as one int, so it
+crosses a run of zero steps in one jump.
 
 The diagonal solver fills sparse shortest-prefix tables L(i, s, h) one
 column, a diagonal (i - s = const) of one level, at a time with a
@@ -107,15 +108,16 @@ def _table_rows(t1: bytes, t2: bytes, f: int, slots: int = 2) -> Iterator[np.nda
     Z(i, h, .)).
 
     The ring, both Z buffers and the masks are uint8, where numpy's running
-    maximum is several times faster than at int32, until the row's largest
-    cell reaches 254; then they are converted to int32, once, and the ring
-    is replaced by an int32 one of max(2, slots // 4) slots, so that a ring
-    of 8 or more slots keeps its bytes. The row that reached 254 is copied
-    into the new ring's last slot, so the next row starts it at slot 0. A
-    cell grows by at most 1 per row and Z never exceeds C, so no uint8 sum
-    wraps before then. A row never falls along j or with h, so its largest
-    cell is C(i, top, n2), and since C(i, h, j) <= i, the check starts at
-    row 254.
+    maximum is several times faster than at int32, while every cell stays
+    below 254. A cell grows by at most 1 per row and Z never exceeds C, so
+    the limit is checked only on a ring's last row: once its largest cell
+    reaches 254 - ``slots``, they are converted to int32, once, and the next
+    row starts a new int32 ring of max(2, slots // 4) slots at slot 0, so
+    that a ring of 8 or more slots keeps its bytes. The int32 ring's first
+    row is then a multiple of ``slots``, and of its own slot count for 2 or
+    64 slots. A row never falls along j or with h, so its largest cell is
+    C(i, top, n2), and since C(i, h, j) <= i, the check starts at row
+    254 - ``slots``.
 
     ``top`` is the lowest level that has equalled the level below it on every
     row so far; the levels above it equal it there and are not filled. When
@@ -165,13 +167,12 @@ def _table_rows(t1: bytes, t2: bytes, f: int, slots: int = 2) -> Iterator[np.nda
             top += 1
             rows = list(ring[:, : top + 1])
             row = rows[k]
-        if narrow and i >= 254 and row[top, -1] >= 254:
+        # a uint8 scalar plus an int wraps under numpy 2, so compare instead
+        if narrow and k == slots - 1 and i >= 254 - slots and row[top, -1] >= 254 - slots:
             narrow = False
             ring = np.zeros((max(2, slots // 4), f + 1, w), dtype=np.int32)
             rows = list(ring[:, : top + 1])
-            k = len(rows) - 1
-            rows[k][:] = row
-            row = rows[k]
+            k = len(rows) - 1  # the next row starts the new ring at slot 0
             z = z.astype(np.int32)
             z_next = z_next.astype(np.int32)
             for a, mask in masks.items():  # as int8 a mask of ones is -1
@@ -185,13 +186,15 @@ def _dense_bytes(n_short: int, n_long: int, f: int, kept: int) -> int:
     """Bytes that a dense solve allocates when it keeps ``kept`` table rows
     at one bit per cell; a level is f+1 cells over the longer text. The fill
     holds two Z buffers of a level each and one mask per symbol of the
-    shorter text. They are uint8, a quarter of that, until a cell reaches
-    254, and are widened to int32 one at a time, so the int32 sizes bound
-    them throughout. The rows take a uint8 ring of two slots, or one per row
-    of a block, of a level each, and at the widening also the int32 ring
-    that replaces it while the last uint8 rows are packed. The kept rows
-    take one packed bit per cell, filled a block of up to ``_BLOCK`` rows at
-    a time through one bool per cell and its packed copy."""
+    shorter text. They are uint8, a quarter of that, until the rows widen,
+    and are widened to int32 one at a time, so the int32 sizes bound them
+    throughout. The rows take a uint8 ring of two slots, or one per row of a
+    block, of a level each, and where they widen, at a ring's end, also the
+    int32 ring that follows it, whose first row reads the last uint8 row.
+    The kept rows are packed a ring of up to ``_BLOCK`` rows at a time
+    through one bool per cell, and each ring's packed bits are kept at its
+    last row's height; the tops are not known before the fill, so the plan
+    takes all f+1 levels."""
     width = n_long + 1
     level = (f + 1) * width
     symbols = min(n_short, 256)
@@ -199,7 +202,7 @@ def _dense_bytes(n_short: int, n_long: int, f: int, kept: int) -> int:
     block = min(_BLOCK, kept)
     slots = max(2, block)
     ring = slots * level + 4 * max(2, slots // 4) * level
-    packed = (kept + block) * (f + 1) * ((n_long + 7) // 8)
+    packed = kept * (f + 1) * ((n_long + 7) // 8)
     return fill + ring + packed + block * (f + 1) * n_long
 
 
@@ -227,9 +230,11 @@ def slcs_witness(
     Along j a row steps by 0 or 1, C(i, h, j) <= C(i, h, j-1) + 1, since
     dropping the last symbol of a solution matched to t2[j] leaves at most
     h segments. So each row is kept as its step bits, packed. The rows are
-    written into a ring of up to ``_BLOCK`` slots, and each time the ring is
-    full, or is replaced by its widened copy, one comparison and one
-    ``packbits`` turn all its rows into step bits.
+    written into a ring of up to ``_BLOCK`` slots, which they leave only at
+    its end, when they widen. Each time the ring is full, and at the last
+    row, one comparison and one ``packbits`` turn all its rows into step
+    bits, up to its last row's top, the highest of the ring; that packed
+    block is kept as it is, so the bits stop where the ring's rows do.
 
     The traceback holds the steps before its cell as one int, whose lowest
     bit is the step into the cell and whose popcount is the cell's value. A
@@ -245,38 +250,28 @@ def slcs_witness(
     check_allocation(_dense_bytes(n1, n2, f_used, n1 + 1), "the witness's step bits")
     # bit j-1 of row i, level h is the step into column j, packed big-endian
     width = (n2 + 7) // 8
-    store = np.zeros((n1 + 1, f_used + 1, width), dtype=np.uint8)
-    slots = min(_BLOCK, n1 + 1)
-    steps = np.empty((slots, f_used + 1, n2), dtype=bool)
+    steps = np.empty((min(_BLOCK, n1 + 1), f_used + 1, n2), dtype=bool)
     tops: list[int] = []  # levels above a row's top are not kept: they equal it
-    ring = None
-    first = 0  # the row in the ring's slot 0
-
-    def pack(end: int) -> None:
-        """Store the step bits of rows first..end-1, in slots 0.. of the ring;
-        a row whose top is below the last one's packs stale levels above its
-        top, never read."""
-        top = tops[end - 1]
-        block = steps[: end - first, : top + 1]
-        rows = ring[: end - first, : top + 1]
-        np.not_equal(rows[..., 1:], rows[..., :-1], out=block)
-        store[first:end, : top + 1] = np.packbits(block, axis=-1)
-
-    for i, row in enumerate(_table_rows(t1, t2, f_used, slots)):
-        if row.base is not ring:  # row 0, or the first row of the widened ring
-            if i:
-                pack(i)
-            ring, first = row.base, i
+    kept: list[tuple[memoryview, int]] = []  # a row's ring's bits, its offset
+    for i, row in enumerate(_table_rows(t1, t2, f_used, len(steps))):
         tops.append(len(row) - 1)
-        if i - first == len(ring) - 1 or i == n1:
-            pack(i + 1)
-            first = i + 1
+        ring = row.base
+        k = i % len(ring)  # row i's slot: a ring starts on a multiple of its size
+        if k == len(ring) - 1 or i == n1:
+            # a row whose top is below the last one's packs stale levels
+            # above its top, never read
+            top = tops[-1]
+            block = steps[: k + 1, : top + 1]
+            rows = ring[: k + 1, : top + 1]
+            np.not_equal(rows[..., 1:], rows[..., :-1], out=block)
+            bits = memoryview(np.packbits(block, axis=-1).reshape(-1))
+            kept += [(bits, r * (top + 1) * width) for r in range(k + 1)]
     length = int(row[-1, -1])
-    bits = memoryview(store.reshape(-1))
 
     def before(i: int, h: int, j: int) -> int:
         """Row i's steps into columns 1..j of level h, column j's lowest."""
-        at = (i * (f_used + 1) + min(h, tops[i])) * width
+        bits, at = kept[i]
+        at += min(h, tops[i]) * width
         return int.from_bytes(bits[at : at + (j + 7) // 8], "big") >> (-j % 8)
 
     segments: list[bytes] = []

@@ -213,11 +213,13 @@ def test_oversized_tables_refused_before_allocating():
     assert peak < 1 << 20
 
 
-def test_table_rows_step_by_zero_or_one():
+@pytest.mark.parametrize("slots", [2, 64])
+def test_table_rows_step_by_zero_or_one(slots):
     # the witness keeps one bit per cell because every level of every row
     # starts at 0 and steps by 0 or 1 along j: C(i, h, j) <= C(i, h, j-1) + 1;
-    # the last eight pairs are near copies of 260-300 symbols whose rows pass
-    # the uint8 limit of 254 and are widened on the way
+    # the last eight pairs are near copies of 260-300 symbols whose answers
+    # pass the uint8 limit of 254, so their rows are widened at the end of a
+    # ring, of the baseline's 2 slots or the witness's 64
     rng = random.Random(23)
     for case in range(328):
         alphabet = (1, 2, 4, 256)[case % 4]
@@ -235,18 +237,19 @@ def test_table_rows_step_by_zero_or_one():
         # a budget past the edits keeps the answer within 3 of n
         f = edits + 1 + rng.randint(0, 6) if widens else rng.randint(1, 10)
         for a, b in ((t1, t2), (t2, t1)):
-            for row in seglcs_module._table_rows(a, b, f):
+            for row in seglcs_module._table_rows(a, b, f, slots):
                 assert not row[:, 0].any(), (a, b, f)
                 steps = np.diff(row, axis=1)
                 assert ((steps == 0) | (steps == 1)).all(), (a, b, f)
-            assert (row[-1, -1] >= 254) == widens, (a, b, f)
+            assert (row[-1, -1] >= 254) == widens == (row.dtype == np.int32), (a, b, f)
 
 
 @pytest.mark.parametrize("f", [1, 2, 16])
 def test_dense_solvers_across_the_uint8_limit(f):
-    # the rows are uint8 until a cell reaches 254 and int32 from then on:
-    # identical texts and two-edit copies of 250-260 symbols have answers on
-    # both sides of that limit, and every solver agrees on them
+    # the rows are uint8 until the end of the ring after which a cell could
+    # reach 254, and int32 from then on: identical texts and two-edit copies
+    # of 250-260 symbols have answers on both sides of 254, and every solver
+    # agrees on them
     rng = random.Random(f"uint8-{f}")
     for n in range(250, 261):
         t = bytes(97 + rng.randrange(4) for _ in range(n))
@@ -260,8 +263,8 @@ def test_dense_solvers_across_the_uint8_limit(f):
 
 def test_widened_rows_equal_the_diagonal_solver():
     # an n = 600 near copy whose answer is far above 254, so its rows are
-    # widened to int32 part way: cells sampled on both sides of the widening
-    # equal the diagonal solver's answer on the prefixes
+    # widened to int32 at a ring's end: cells sampled on both sides of the
+    # widening equal the diagonal solver's answer on the prefixes
     rng = random.Random(29)
     t1, t2 = _scattered_pair(rng, 600, 3)
     f = 4
@@ -278,19 +281,37 @@ def test_widened_rows_equal_the_diagonal_solver():
 )
 def test_dense_peaks_within_the_plan(similarity, widens):
     # _dense_bytes plans int32 rows for the whole solve; the rows stay uint8
-    # until a cell reaches 254, and the widening to int32 must not push the
-    # traced peak past the plan
+    # until the end of the ring after which a cell could reach 254, and the
+    # widening to int32 must not push the traced peak past the plan
     n, f = 1000, 16
     t1, t2 = generate_instance((n, n), alphabet=4, seed=3, similarity=similarity)
     for solver, kept in ((slcs_baseline, 0), (slcs_witness, n + 1)):
-        tracemalloc.start()
-        try:
-            solver(t1, t2, f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(solver, t1, t2, f)
         assert peak <= seglcs_module._dense_bytes(n, n, f, kept), solver.__name__
     assert (slcs_baseline(t1, t2, f) >= 254) == widens
+
+
+def test_witness_bits_stop_at_the_rows_tops():
+    # the tail-edit pair's rows stop at level 2 of 16 and the uniform pair's
+    # fill most levels; the witness keeps each ring's step bits at that
+    # ring's height, so the tail-edit pair peaks lower, though only its rows
+    # are widened to int32
+    n, f = 1000, 16
+    peaks = {}
+    for name, similarity in (("tail-edit", 2), ("uniform", None)):
+        t1, t2 = generate_instance((n, n), alphabet=4, seed=3, similarity=similarity)
+        peaks[name] = _traced_peak(slcs_witness, t1, t2, f)
+    assert peaks["tail-edit"] < peaks["uniform"], peaks
+
+
+def _traced_peak(solver, *args) -> int:
+    """The tracemalloc peak of one call, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        solver(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n2", [0, 1, 7, 8, 9, 63, 64, 65])
@@ -314,8 +335,8 @@ def test_witness_takes_the_cell_by_cell_path():
     # traceback's witness: on short pairs over 1-5 and 256 symbols, a third
     # of them copies with up to three edits in the last quarter, in both
     # text orders; and on near copies of 250-300 symbols with up to eight
-    # edits, whose rows are widened to int32 part way, on rows that fall
-    # inside a 64-row block
+    # edits, whose rows are widened to int32 at the end of the witness's
+    # 64-row ring
     rng = random.Random(41)
     for case in range(1000):
         alphabet = (1, 2, 3, 4, 5, 256)[case % 6]
@@ -330,17 +351,20 @@ def test_witness_takes_the_cell_by_cell_path():
         f = rng.randint(1, 12)
         for a, b in ((t1, t2), (t2, t1)):
             assert slcs_witness(a, b, f) == witness_reference(a, b, f), (a, b, f)
-    firsts = set()  # the first int32 row of each pair that widens
+    firsts = []  # the first int32 row and its ring's slots, per pair that widens
     for n in range(250, 301, 2):
         t1 = bytes(97 + rng.randrange(4) for _ in range(n))
         edits = rng.randint(0, 8)
         t2 = _near_copy(rng, t1, edits, 4)
         f = edits + rng.randint(1, 4)
         assert slcs_witness(t1, t2, f) == witness_reference(t1, t2, f), (t1, t2, f)
-        rows = seglcs_module._table_rows(t1, t2, f)
-        firsts.add(next((i for i, row in enumerate(rows) if row.dtype == np.int32), 0))
-    # a row that widens as the last of its block is followed by row 64k
-    assert len({i for i in firsts if i % 64}) >= 5, firsts
+        rows = enumerate(seglcs_module._table_rows(t1, t2, f, 64))
+        first = next(((i, len(row.base)) for i, row in rows if row.dtype == np.int32), None)
+        if first:
+            firsts.append(first)
+    # the witness finds a row's slot as its index modulo its ring's size
+    assert len(firsts) >= 5, firsts
+    assert all(i % 64 == 0 == i % slots for i, slots in firsts), firsts
 
 
 def test_witness_peak_memory():
