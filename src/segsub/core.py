@@ -16,13 +16,16 @@ class ResourceLimitError(MemoryError):
     """A solver's buffers would exceed the machine's physical memory."""
 
 
+# read once: sysconf asks the kernel each time, about 0.4 us a call
+_PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def check_allocation(nbytes: int, what: str) -> None:
     """Refuse, before allocating, buffers larger than physical memory."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > physical:
+    if nbytes > _PHYSICAL:
         raise ResourceLimitError(
             f"{what} need {nbytes / 2**30:,.1f} GiB, more than the "
-            f"{physical / 2**30:,.1f} GiB of physical memory"
+            f"{_PHYSICAL / 2**30:,.1f} GiB of physical memory"
         )
 
 

@@ -130,7 +130,7 @@ def differential_run(
     Each seglcs case also checks the witness: its length, and that it is a
     common subsequence of both texts in at most f segments. Half of the
     indseglcs cases, chosen by the case seed, are equal-length near copies
-    with up to three substitutions at random positions, where the slcs bound
+    with up to three substitutions at random positions, where the lower bound
     often falls just short of the LCS and the table band is narrowest.
     Every checked call is looked up on its module at each case, so a test
     can swap one out.

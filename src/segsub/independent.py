@@ -17,51 +17,47 @@ rows: cell (i1, d - i1) sits at row i1 of each diagonal buffer. The fill
 keeps three diagonals plus two scratch ones, each (n1 + 1) * 4 * (g1 + 1) *
 (g2 + 1) float32 values (exact for every length below 2**24).
 
-``indseglcs`` takes six steps in order, and each may end the call: the
-allocation check, saturated budgets, the certificate, the search, the slcs
-bound and the band. First it sizes those buffers: a solve whose buffers would
-exceed physical memory raises ``ResourceLimitError`` before allocating
-anything. The next steps rely on two bounds, slcs(min(f1, f2)) <=
-indseglcs(f1, f2) <= LCS(t1, t2), since one shared segmentation fits both
-budgets and any common string is a common subsequence. The classic LCS is
-bit-parallel over t1 (Hyyro 2004), and it is the answer outright when both
-budgets are saturated (g1 = g2 = 0). Otherwise, as a certificate, one LCS
-string is traced back over the bit-parallel rows; when it embeds in t1
-within f1 pieces and in t2 within f2, it is a longest common string within
-both budgets, and the LCS is the answer with no table. The trace counts, in
-each text, the maximal runs of consecutive positions that its matches use:
-they cut the string into that many substrings of the text, in order, so a
-side whose count is within its budget needs no matcher, and ``sege`` runs
-only for a side whose count exceeds it. The rows, one int of n1 bits per
-symbol of t2, are kept only where they take no more bytes than the five
-diagonals; otherwise this exit and the next are skipped. When the
-traced string does not fit, ``_near_lcs`` searches the chains of matches
-for lengths LCS, LCS - 1, ... in turn, each time only among the matches
-that a chain of that length can use, and returns the first length that
-fits both budgets. It holds no more matches and states than fit in what the
-rows leave of the diagonals, at about ``ITEM_BYTES`` each, and takes at most
-64 steps per anti-diagonal of the fill; past either limit it gives up and
-the bound and the band decide. The lower bound, ``slcs_baseline`` at
-f = min(f1, f2) clamped, fills f*n1*n2 cells; it runs only when
-f <= 4 * (g1 + 1) * (g2 + 1), so that it never costs more than the tables'
-4 * n1 * n2 * (g1 + 1) * (g2 + 1). When it reaches the LCS, no table is
-filled. Otherwise the fill is banded after Ukkonen (1985): an answer of at
-least ell embeds along a path on which -(n2 - ell) <= i1 - i2 <= n1 - ell,
-because the matches still to come must fit in the rest of both texts. Each
-diagonal fills only its rows in that band, and the one row past either end
-that the next two diagonals read is set to -inf, so every cell read holds
-its exact value or -inf. With ell = 0 the band is the whole table.
+``indseglcs`` takes five steps in order, and each may end the call: the
+allocation check, saturated budgets, the certificate, the search and the
+band. First it sizes those buffers: a solve whose buffers would exceed
+physical memory raises ``ResourceLimitError`` before allocating anything.
+The next steps rely on two bounds, slcs(min(f1, f2)) <= indseglcs(f1, f2)
+<= LCS(t1, t2), since one shared segmentation fits both budgets and any
+common string is a common subsequence. The classic LCS is bit-parallel
+over t1 (Hyyro 2004), and it is the answer outright when both budgets are
+saturated (g1 = g2 = 0). Otherwise the rows of that pass, one int of n1
+bits per symbol of t2, are sized and kept, and one LCS string is traced
+back over them as a certificate: when it embeds in t1 within f1 pieces
+and in t2 within f2, the LCS is the answer with no table. The trace's
+runs of consecutive positions in each text cut the string into that many
+substrings of the text, so ``sege`` runs only for a side whose count
+exceeds its budget. When the traced string does not fit, ``_near_lcs``
+searches the chains of matches for lengths LCS, LCS - 1, ... in turn,
+each time only among the matches that a chain of that length can use,
+and returns the first length that fits both budgets. It holds no more
+matches and states than fit in what the rows leave of the diagonals, at
+about ``ITEM_BYTES`` each, and takes at most 64 steps per anti-diagonal
+of the fill; past either limit it gives up. The band's lower bound ell
+is the total of the min(f1, f2) longest runs of the trace that are
+consecutive in both texts, at most slcs(min(f1, f2)) and so at most the
+answer. The fill is banded after Ukkonen (1985): an answer of at least
+ell embeds along a path on which -(n2 - ell) <= i1 - i2 <= n1 - ell,
+because the matches still to come must fit in the rest of both texts.
+Each diagonal fills only its rows in that band, and the one row past
+either end that the next two diagonals read is set to -inf, so every
+cell read holds its exact value or -inf. With ell = 0 the band is the
+whole table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import nlargest
 
 import numpy as np
 
 from .core import as_text, check_allocation, check_budget
-from .seglcs import slcs_baseline
 from .segmatch import sege
 
 NEG_INF = float("-inf")
@@ -175,16 +171,20 @@ def _lcs_length(t1: bytes, t2: bytes) -> int:
     return len(t1) - deque(_lcs_rows(t1, t2), maxlen=1)[0].bit_count()
 
 
-def _lcs_string(t1: bytes, t2: bytes) -> tuple[bytes, int, int]:
+def _lcs_string(t1: bytes, t2: bytes) -> tuple[bytes, int, int, list[int]]:
     """One longest common subsequence, traced back over all of ``_lcs_rows``,
     with the maximal runs of consecutive positions that its matches use in
-    t1 and in t2: a match is always a diagonal step; otherwise L(i - 1, j) =
-    L(i, j) exactly where bit i - 1 of v_j is set, and the trace goes up
-    there and left elsewhere. The runs cut the string into that many
-    substrings of each text, in order, so ``min_segments`` is at most each
-    count, and a count is 0 only for the empty string."""
+    t1 and in t2, and the lengths of its runs consecutive in both: a match
+    is always a diagonal step; otherwise L(i - 1, j) = L(i, j) exactly where
+    bit i - 1 of v_j is set, and the trace goes up there and left elsewhere.
+    The runs cut the string into that many substrings of each text, in
+    order, so ``min_segments`` is at most each count, and a count is 0 only
+    for the empty string. The runs consecutive in both texts are common
+    substrings in order, so any f of them, kept in order, are a common
+    string in at most f pieces of each text."""
     rows = list(_lcs_rows(t1, t2))
     out = bytearray()
+    runs: list[int] = []  # last run first
     pieces1 = pieces2 = 0
     i, j = len(t1), len(t2)
     # i and j as the last match left them: a match there extends its run
@@ -192,15 +192,19 @@ def _lcs_string(t1: bytes, t2: bytes) -> tuple[bytes, int, int]:
     while i and j:
         if t1[i - 1] == t2[j - 1]:
             out.append(t1[i - 1])
-            pieces1 += i != last1
-            pieces2 += j != last2
+            if i == last1 and j == last2:
+                runs[-1] += 1
+            else:
+                pieces1 += i != last1
+                pieces2 += j != last2
+                runs.append(1)
             i, j = i - 1, j - 1
             last1, last2 = i, j
         elif rows[j] >> (i - 1) & 1:
             i -= 1
         else:
             j -= 1
-    return bytes(out[::-1]), pieces1, pieces2
+    return bytes(out[::-1]), pieces1, pieces2, runs
 
 
 # bytes held per match or state of the search: a tuple in a list, and for a
@@ -317,33 +321,24 @@ def indseglcs(
     )
     if cfg1.g == cfg2.g == 0:
         return _lcs_length(t1, t2)  # both budgets saturated
-    # a row, an int of n1 bits and its list slot, takes at most 36 + n1/7.5
-    # bytes; the rows are kept only where they take no more than the diagonals
+    # a row, an int of n1 bits in its list slot, takes at most 36 + n1/7.5 bytes
     rows = (n2 + 1) * (36 + n1 / 7.5)
-    if rows <= diagonals:
-        # the trace cuts its string into pieces1 substrings of t1 and pieces2
-        # of t2; the matcher runs only for a side whose count is over budget
-        common, pieces1, pieces2 = _lcs_string(t1, t2)
-        if ((pieces1 <= cfg1.f or sege(t1, common, cfg1.f))
-                and (pieces2 <= cfg2.f or sege(t2, common, cfg2.f))):
-            return len(common)  # a longest common string within both budgets
-        # the search holds no more than the rows leave of the diagonals, and
-        # stops within 64 steps, some 20 us, per anti-diagonal of the fill
-        item = ITEM_BYTES + cfg1.f * cfg2.f // 8
-        found = _near_lcs(t1, t2, cfg1.f, cfg2.f, int((diagonals - rows) / item),
-                          64 * (n1 + n2 + 1))
-        if found is not None:
-            return found
-        upper = len(common)
-    else:
-        upper = _lcs_length(t1, t2)
-    ell = 0
-    f = min(cfg1.f, cfg2.f)
-    if f <= 4 * planes:  # the bound's f*n1*n2 cells cost at most the tables'
-        ell = slcs_baseline(t1, t2, f)
-        if ell == upper:
-            return ell
-    return _fill(t1, t2, cfg1, cfg2, ell)
+    check_allocation(rows, "the indseglcs LCS rows")
+    # the trace cuts its string into pieces1 substrings of t1 and pieces2 of
+    # t2; the matcher runs only for a side whose count is over budget
+    common, pieces1, pieces2, runs = _lcs_string(t1, t2)
+    if ((pieces1 <= cfg1.f or sege(t1, common, cfg1.f))
+            and (pieces2 <= cfg2.f or sege(t2, common, cfg2.f))):
+        return len(common)  # a longest common string within both budgets
+    # the search holds no more than the rows leave of the diagonals, and
+    # stops within 64 steps, some 20 us, per anti-diagonal of the fill
+    item = ITEM_BYTES + cfg1.f * cfg2.f // 8
+    found = _near_lcs(t1, t2, cfg1.f, cfg2.f, int((diagonals - rows) / item),
+                      64 * (n1 + n2 + 1))
+    if found is not None:
+        return found
+    # the f longest runs, in order, are a common string within both budgets
+    return _fill(t1, t2, cfg1, cfg2, sum(nlargest(min(cfg1.f, cfg2.f), runs)))
 
 
 def _fill(

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from heapq import nlargest
 
 import pytest
 
@@ -295,8 +296,14 @@ class TestBoundsAndBand:
                 t2 = bytes(rng.randrange(k) for _ in range(rng.randint(0, 40)))
                 want = classic_lcs_len(t1, t2)
                 assert _lcs_length(t1, t2) == want, (t1, t2)
-                common, pieces1, pieces2 = _lcs_string(t1, t2)
+                common, pieces1, pieces2, runs = _lcs_string(t1, t2)
                 assert len(common) == want, (t1, t2)
+                # the runs consecutive in both texts split each text's runs
+                assert sum(runs) == len(common), (t1, t2)
+                assert len(runs) >= max(pieces1, pieces2), (t1, t2)
+                # any f of them, in order, are a common f-segmentation
+                for f in range(1, 5):
+                    assert sum(nlargest(f, runs)) <= slcs_baseline(t1, t2, f), (t1, t2, f)
                 # the trace's runs are an embedding in that many pieces;
                 # min_segments counts the empty string as one
                 for t, pieces in ((t1, pieces1), (t2, pieces2)):
@@ -357,9 +364,9 @@ class TestBoundsAndBand:
 
     def test_saturated_budgets_return_classic_lcs_without_tables(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("saturated budgets need neither bound nor tables")
+            raise AssertionError("saturated budgets need neither trace nor tables")
 
-        monkeypatch.setattr(independent, "slcs_baseline", refuse)
+        monkeypatch.setattr(independent, "_lcs_string", refuse)
         monkeypatch.setattr(independent, "_fill", refuse)
         rng = random.Random(44)
         for _ in range(40):
@@ -375,7 +382,7 @@ def _certified(t1, t2, f1, f2):
     if len(t1) > len(t2):
         t1, t2, f1, f2 = t2, t1, f2, f1
     cfg1, cfg2 = side_config(len(t1), f1), side_config(len(t2), f2)
-    common, _, _ = _lcs_string(t1, t2)
+    common, _, _, _ = _lcs_string(t1, t2)
     return sege(t1, common, cfg1.f) and sege(t2, common, cfg2.f)
 
 
@@ -383,7 +390,6 @@ def _refuse_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("the certificate settles this call")
 
-    monkeypatch.setattr(independent, "slcs_baseline", refuse)
     monkeypatch.setattr(independent, "_fill", refuse)
 
 
@@ -444,7 +450,7 @@ class TestCertificate:
             else:
                 t1 = bytes(97 + rng.randrange(k) for _ in range(n))
                 t2 = bytes(97 + rng.randrange(k) for _ in range(rng.randint(24, 300)))
-            common, pieces1, pieces2 = _lcs_string(t1, t2)
+            common, pieces1, pieces2, _ = _lcs_string(t1, t2)
             f1, f2 = rng.randint(1, max(1, pieces1 + 2)), rng.randint(1, max(1, pieces2 + 2))
             fits1, fits2 = sege(t1, common, f1), sege(t2, common, f2)
             # a side over budget whose string the matcher still accepts
@@ -455,7 +461,7 @@ class TestCertificate:
         assert rescued
 
     def test_uniform_pair_needs_no_tables(self, monkeypatch):
-        # the full fill took about 0.5 s here, and the slcs bound stops at 97
+        # the full fill took about 0.5 s here
         _refuse_tables(monkeypatch)
         t1, t2 = generate_instance((160, 160), alphabet=4, seed=1)
         assert indseglcs(t1, t2, 40, 40) == 99 == classic_lcs_len(t1, t2)
@@ -477,7 +483,7 @@ class TestCertificate:
         # string takes 7 runs of t1, where 6 pieces suffice, and 6 runs of
         # t2, so only t1's side asks the matcher, which accepts
         t1, t2 = b"dbabddaddaabbcaccacaddcd", b"adccacaacdcccdacadccbcda"
-        common, pieces1, pieces2 = _lcs_string(t1, t2)
+        common, pieces1, pieces2, _ = _lcs_string(t1, t2)
         assert (pieces1, pieces2) == (7, 6)
         assert min_segments(t1, common) == min_segments(t2, common) == 6
         asked = []
@@ -493,10 +499,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("n, alphabet", [(80, 2), (80, 26), (100, 4)])
     def test_skipped_bound_needs_no_tables(self, monkeypatch, n, alphabet):
-        # f = n/2 - 1 is the score family at g = 2, where the slcs bound's
-        # f*n1*n2 cells are deemed dearer than the tables and it does not run
+        # f = n/2 - 1 is the score family at g = 2
         f = n // 2 - 1
-        assert f > 4 * (side_config(n, f).g + 1) ** 2
         rng = random.Random(f"skipped-{n}-{alphabet}")
         t1 = bytes(97 + rng.randrange(alphabet) for _ in range(n))
         t2 = bytearray(t1)
@@ -531,37 +535,51 @@ class TestCertificate:
         assert answer == 1999
         assert peak <= 5 * 2002 * 4 * 2 * 2 * 4
 
-    def test_long_text_beside_short_one_keeps_no_rows(self, monkeypatch):
-        # 3,001 rows of about 36 bytes each outweigh the diagonals' 80 bytes
-        # per row of t1 and (g1 + 1) * (g2 + 1) = 2 * 51 planes
-        def refuse(*args):
-            raise AssertionError("the rows take more than the diagonals")
-
+    def test_long_text_beside_short_one_keeps_its_rows(self, monkeypatch):
+        # the rows are sized before the trace, whatever they weigh against
+        # the diagonals: 3,001 rows of about 36 bytes beside 80 bytes per row
+        # of t1 and 2 * 51 planes, and 2,001 rows of about 63 bytes beside
+        # 202 rows of t1 and 4 planes
         rng = random.Random(47)
-        t1 = b"abc"
-        t2 = bytes(97 + rng.randrange(3) for _ in range(3000))
-        want = table_fills(t1, t2, 1, 50)[0]
-        monkeypatch.setattr(independent, "_lcs_string", refuse)
-        assert indseglcs(t1, t2, 1, 50) == want
-        assert indseglcs(t2, t1, 50, 1) == want
+        pairs = [(b"abc", bytes(97 + rng.randrange(3) for _ in range(3000)), 1, 50),
+                 (bytes(97 + rng.randrange(26) for _ in range(201)),
+                  bytes(97 + rng.randrange(26) for _ in range(2000)), 99, 1000)]
+        wants = [table_fills(*pair)[0] for pair in pairs]
+        log = []
 
-    def test_dear_bound_is_skipped_where_no_rows_are_kept(self, monkeypatch):
+        def plan(nbytes, what):
+            log.append(nbytes)
+
+        def trace(t1, t2):
+            log.append("trace")
+            return _lcs_string(t1, t2)
+
+        monkeypatch.setattr(independent, "check_allocation", plan)
+        monkeypatch.setattr(independent, "_lcs_string", trace)
+        _refuse_tables(monkeypatch)
+        for (t1, t2, f1, f2), want in zip(pairs, wants):
+            rows = (len(t2) + 1) * (36 + len(t1) / 7.5)
+            for args in ((t1, t2, f1, f2), (t2, t1, f2, f1)):
+                log.clear()
+                assert indseglcs(*args) == want
+                assert log.count("trace") == 1
+                assert max(log[:log.index("trace")]) >= rows
+
+    def test_certificate_settles_a_short_text_beside_a_long_one(self, monkeypatch):
         # 401 rows of about 41.5 bytes outweigh the diagonals' 80 bytes per
-        # row of t1 and (g1 + 1) * (g2 + 1) = 2 planes, and f = 20 > 4 * 2:
-        # the bound's f*n1*n2 cells are dearer than the tables, so only the
-        # tables run, at ell = 0
+        # row of t1 and (g1 + 1) * (g2 + 1) = 2 planes, but they are kept,
+        # and the traced string fits both budgets
         def refuse(*args):
-            raise AssertionError("neither the certificate nor the bound runs")
+            raise AssertionError("the certificate settles this call")
 
         rng = random.Random(48)
         t1 = bytes(97 + rng.randrange(4) for _ in range(41))
         t2 = bytes(97 + rng.randrange(4) for _ in range(400))
         cfg1, cfg2 = side_config(41, 20), side_config(400, 200)
-        planes = (cfg1.g + 1) * (cfg2.g + 1)
-        assert 401 * (36 + 41 / 7.5) > 80 * 42 * planes and 20 > 4 * planes
+        assert 401 * (36 + 41 / 7.5) > 80 * 42 * (cfg1.g + 1) * (cfg2.g + 1)
         want = table_fills(t1, t2, 20, 200)[0]
-        monkeypatch.setattr(independent, "_lcs_string", refuse)
-        monkeypatch.setattr(independent, "slcs_baseline", refuse)
+        monkeypatch.setattr(independent, "_near_lcs", refuse)
+        _refuse_tables(monkeypatch)
         assert indseglcs(t1, t2, 20, 200) == want
         assert indseglcs(t2, t1, 200, 20) == want
 
@@ -646,14 +664,17 @@ class TestNearLcsSearch:
             return searched[-1]
 
         def spy(*args):
-            fills.append(_fill(*args))
-            return fills[-1]
+            fills.append((args[-1], _fill(*args)))
+            return fills[-1][1]
 
         monkeypatch.setattr(independent, "_near_lcs", search)
         monkeypatch.setattr(independent, "_fill", spy)
         assert indseglcs(t1, t2, 2, 2) == 9 < classic_lcs_len(t1, t2) == 16
         assert searched == [None]
-        assert fills == [9]
+        # the band's bound is the two longest traced runs, 3 + 3, as high
+        # as the slcs bound here
+        assert fills == [(6, 9)]
+        assert slcs_baseline(t1, t2, 2) == 6
         assert table_fills(t1, t2, 2, 2) == [9] * 3
 
     @pytest.mark.parametrize("n1, n2, alphabet, f", [(24, 24, 4, 2), (40, 300, 2, 3),
