@@ -21,6 +21,7 @@ from .reduction import build_episode_reduction, check_reduction_equivalence
 from .segmatch import min_segments, seg2_linear, sege
 from .seglcs import (
     SolveStats,
+    slcs,
     slcs_baseline,
     slcs_diagonal,
     slcs_witness,
@@ -48,6 +49,7 @@ __all__ = [
     "sege",
     "segmentation_score",
     "side_config",
+    "slcs",
     "slcs_baseline",
     "slcs_bruteforce",
     "slcs_diagonal",

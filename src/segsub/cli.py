@@ -74,10 +74,6 @@ def _cmd_seglcs(args) -> Result:
         }}
         lines = [f"{segment}\t{s1}\t{s2}" for segment, s1, s2
                  in zip(segments, emb1.starts, emb2.starts)]
-    elif args.algo == "baseline":
-        payload = {"length": seglcs.slcs_baseline(t1, t2, args.segments)}
-    elif args.algo == "oracle":
-        payload = {"length": oracle.slcs_bruteforce(t1, t2, args.segments)}
     elif args.dump_tables:
         levels = seglcs.diagonal_levels(t1, t2, args.segments)
         longest = max(len(t1), len(t2))  # a value past it is an infinite cell
@@ -90,7 +86,7 @@ def _cmd_seglcs(args) -> Result:
         payload = {"length": levels[-1][0], "tables": tables}
         lines = [" ".join(map(str, row)) for row in tables]
     else:
-        payload = {"length": seglcs.slcs_diagonal(t1, t2, args.segments)}
+        payload = {"length": seglcs.slcs(t1, t2, args.segments)}
     return payload, [str(payload["length"]), *lines], 0
 
 
@@ -191,13 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, required=True,
                    help="budget f: at most f pieces, each contiguous in both texts")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--algo", choices=("diagonal", "baseline", "oracle"),
-                      help="solver (default: diagonal); baseline, the dense "
-                           "O(f*n1*n2) fill, is faster on unrelated texts and on "
-                           "long near copies over small alphabets at a budget "
-                           "below their number of scattered substitutions; oracle, "
-                           "brute force, refuses texts over "
-                           f"{oracle.DEFAULT_SIZE_LIMIT} symbols (exit {LIMIT_EXIT})")
     mode.add_argument("--witness", action="store_true",
                       help="also print segments and both embeddings (baseline)")
     mode.add_argument("--dump-tables", action="store_true",

@@ -151,7 +151,7 @@ def differential_run(
         "minsege": ["segsub.segmatch.min_segments"],
         "sege": ["segsub.segmatch.sege"],
         "seglcs": ["segsub.seglcs.slcs_baseline", "segsub.seglcs.slcs_diagonal",
-                   "segsub.harness._witness_length"],
+                   "segsub.seglcs.slcs", "segsub.harness._witness_length"],
         "indseglcs": ["segsub.independent.indseglcs"],
     }
 

@@ -1,4 +1,5 @@
-"""Two solvers for the segmental LCS length, plus witness reconstruction.
+"""Two solvers for the segmental LCS length, ``slcs`` to pick between them,
+and witness reconstruction.
 
 ``slcs_baseline`` fills the prefix table C(i, h, j) in O(f*n1*n2) time, one
 row of the shorter text at a time with every level in the row, so it keeps
@@ -65,8 +66,9 @@ class SolveStats:
     each row's filled levels times the longer text's length; for the diagonal
     solver, the scan positions it stepped over, a column's lead included:
     per filled column, the scan pointer's final position, min(last value,
-    n2)); ``lcsuf_lookups`` counts the lcsuf range minima the diagonal solver
-    took, one per 3-gram hit in a scan's first band.
+    n2); for ``slcs``, the diagonal solver's visits plus, after a fallback,
+    the baseline's cells); ``lcsuf_lookups`` counts the lcsuf range minima
+    the diagonal solver took, one per 3-gram hit in a scan's first band.
     """
 
     cell_visits: int = 0
@@ -464,8 +466,9 @@ class _Columns:
 
 
 def _run(
-    t1: bytes, t2: bytes, f: int, stats: SolveStats | None, keep: bool
-) -> tuple[int, list[tuple[int, list[tuple[list[int], int]]]]]:
+    t1: bytes, t2: bytes, f: int, stats: SolveStats | None, keep: bool,
+    limit: float = float("inf"),
+) -> tuple[int | None, list[tuple[int, list[tuple[list[int], int]]]]]:
     """Run ``_Columns.column`` on oriented texts, diagonal by diagonal with
     the filled levels 1..top inside each: level h on diagonal d reads only
     level h on d-1 and level h-1 on d. Level top+1 starts on the first
@@ -473,8 +476,9 @@ def _run(
     column on the diagonal before; level 1 is not the same function of
     level 0, so level 2 is always filled.
 
-    Returns the answer at budget f and, with ``keep``, each filled level as
-    (answer, columns), a column being a (tail, lead) pair. Without ``keep``
+    Returns the answer at budget f, or None once a diagonal starts with its
+    estimated time in ns over ``limit``, and, with ``keep``, each filled level
+    as (answer, columns), a column being a (tail, lead) pair. Without ``keep``
     every level stops at the top level's cutoff, the first diagonal that can
     no longer beat its answer, and only the previous diagonal's columns are
     held. With ``keep`` each level stops at its own cutoff and keeps every
@@ -493,9 +497,13 @@ def _run(
     if keep:  # each filled level's columns and its answer so far
         kept: list[list[tuple[list[int], int]]] = [[] for _ in prev]
         bests = [0] * top
-    best = visits = diag = 0
+    best = visits = cells = filled = diag = 0
     reach = f
     while diag < n1 - best:
+        # ns per column, tail cell, lcsuf lookup and visit, fitted on a 2-vCPU VM
+        if 5300 * filled + 260 * cells + 500 * columns.lookups + 2.6 * visits > limit:
+            best = None
+            break
         if keep:  # answers never fall with h, so levels 1..running still run
             running = sum(diag < n1 - b for b in bests)
             reach = f if running == top else running
@@ -517,6 +525,7 @@ def _run(
             # scan visited up to the last finite value, or all of t2 at an inf
             last = tail[-1] if tail else lead
             visits += min(last, n2)
+            cells += len(tail)
         if keep:
             for h, pair in enumerate(cur):
                 kept[h].append(pair)
@@ -528,7 +537,7 @@ def _run(
             # the top level's cells are the smallest, so its run of finite
             # cells is the longest on this diagonal
             best = max(best, lead + len(tail) - (last == inf))
-        prev, diag = cur, diag + 1
+        prev, diag, filled = cur, diag + 1, filled + len(cur)
     if stats is not None:
         stats.cell_visits += visits
         stats.lcsuf_lookups += columns.lookups
@@ -549,3 +558,15 @@ def slcs_diagonal(
     at most f*n2*(n1 - answer + 1) positions."""
     t1, t2, f, _ = _oriented(t1, t2, f)
     return _run(t1, t2, f, stats, False)[0]
+
+
+def slcs(
+    t1: bytes | str, t2: bytes | str, f: int, stats: SolveStats | None = None
+) -> int:
+    """Segmental LCS length by the diagonal solver, which wins when the answer
+    is close to the shorter text's length, while its estimated time stays under
+    0.3 times the baseline's planned time; past that, by the baseline."""
+    t1, t2, f, _ = _oriented(t1, t2, f)
+    # the baseline's plan in ns: 4 per cell and 8,000 per row (2-vCPU VM)
+    answer = _run(t1, t2, f, stats, False, 0.3 * len(t1) * (4 * f * len(t2) + 8000))[0]
+    return slcs_baseline(t1, t2, f, stats) if answer is None else answer

@@ -14,7 +14,8 @@ import pytest
 import segsub
 from segsub import reduction, seglcs
 from segsub.cli import _replay_command, main
-from segsub.harness import Mismatch
+from segsub.harness import Mismatch, generate_instance
+from segsub.oracle import slcs_bruteforce
 
 
 def run(capsys, *args):
@@ -30,10 +31,13 @@ def test_seglcs_table2(capsys):
 
 
 def test_seglcs_algo_agreement(capsys):
-    for algo in ("diagonal", "baseline", "oracle"):
-        code, out, _ = run(capsys, "seglcs", "--t1", "abcxdexf", "--t2", "abycdef",
-                           "--segments", "2", "--algo", algo)
-        assert code == 0 and out == "4\n"
+    # the default solver agrees with brute force, whichever route it takes
+    pairs = [(b"abcxdexf", b"abycdef", 2)]
+    pairs += [(*generate_instance((9, 9), seed=seed), 1 + seed % 4) for seed in range(12)]
+    for t1, t2, f in pairs:
+        code, out, _ = run(capsys, "seglcs", "--t1", t1.decode(), "--t2", t2.decode(),
+                           "--segments", str(f))
+        assert code == 0 and out == f"{slcs_bruteforce(t1, t2, f)}\n"
 
 
 def test_minsege_table1(capsys):
@@ -98,13 +102,12 @@ def test_dump_tables(capsys):
     assert all(len(line.split()) == 4 for line in lines[1:])
 
 
-SEGLCS_MODES = [["--algo", algo] for algo in ("diagonal", "baseline", "oracle")]
-SEGLCS_MODES += [["--witness"], ["--dump-tables"]]
+SEGLCS_MODES = [["--witness"], ["--dump-tables"]]
 
 
 @pytest.mark.parametrize("first, second", [
     pytest.param(a, b, id="-".join(a + b).replace("--", ""))
-    for a, b in itertools.combinations(SEGLCS_MODES, 2) if a[0] != b[0]
+    for a, b in itertools.combinations(SEGLCS_MODES, 2)
 ])
 def test_seglcs_modes_exclude_each_other(capsys, first, second):
     # each accepted combination names one solver, so any two modes are refused
@@ -114,6 +117,14 @@ def test_seglcs_modes_exclude_each_other(capsys, first, second):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert first[0] in err and second[0] in err
+
+
+def test_seglcs_help_offers_no_solver_choice(capsys):
+    # the library picks the solver, so the help names no solver option
+    with pytest.raises(SystemExit) as exc:
+        main(["seglcs", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--witness" in out and "--algo" not in out
 
 
 def test_reduce_episode_bytes(capsysbinary):
@@ -245,6 +256,7 @@ EVERY_BYTE = b"@" + bytes(range(256)) + b"\r\n"
     ("seglcs", (4,), "segsub.seglcs.slcs_diagonal", 5),
     ("seglcs", (4,), "segsub.harness._witness_length", 5),
     ("indseglcs", (3, 2), "segsub.independent.indseglcs", 4),
+    ("seglcs", (4,), "segsub.seglcs.slcs", 5),
 ])
 def test_replay_command_per_kind(kind, budgets, call, got):
     # t2, the even byte values then CR LF, takes one segment of t1 per even
@@ -270,9 +282,7 @@ def test_usage_error_budget(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["seglcs", "--segments", "0", "--algo", "diagonal"],
-    ["seglcs", "--segments", "0", "--algo", "baseline"],
-    ["seglcs", "--segments", "0", "--algo", "oracle"],
+    ["seglcs", "--segments", "0"],
     ["seglcs", "--segments", "0", "--witness"],
     ["seglcs", "--segments", "0", "--dump-tables"],
     ["indseglcs", "--f1", "0", "--f2", "1"],
@@ -289,12 +299,6 @@ def test_usage_error_unknown_flag():
         main(["sege", "--text", "a", "--pattern", "a", "--segments", "1",
               "--frobnicate"])
     assert exc.value.code == 2
-
-
-def test_size_limit_exit(capsys):
-    code, _, err = run(capsys, "seglcs", "--t1", "a" * 30, "--t2", "a",
-                       "--segments", "1", "--algo", "oracle")
-    assert code == 3 and "capped" in err
 
 
 def test_resource_limit_exit(capsys):
@@ -322,9 +326,9 @@ EPISODE = ["reduce-episode", "--text", "0101", "--pattern", "00", "--bound", "3"
     (["gen", "--lengths", "6", "6", "--seed", "11"], None, 0,
      {"texts": ["bcbbcc", "aacbcc"]}),
     (["difftest", "--count", "40", "--seed", "2"], None, 0,
-     {"cases": 40, "checks": 240, "mismatches": []}),
+     {"cases": 40, "checks": 260, "mismatches": []}),
     (["difftest", "--count", "1", "--seed", "2"], "text_off_by_one", 1,
-     {"cases": 1, "checks": 7, "mismatches": [{
+     {"cases": 1, "checks": 8, "mismatches": [{
          "kind": "seglcs", "texts": ["bbacbcccaa", "caab"], "budgets": [3],
          "algorithm": "segsub.seglcs.slcs_diagonal", "expected": 3, "got": 2,
          "replay": shlex.quote(sys.executable) + " -c " + shlex.quote(

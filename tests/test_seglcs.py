@@ -17,6 +17,7 @@ from segsub.oracle import slcs_bruteforce
 from segsub.seglcs import (
     SolveStats,
     diagonal_levels,
+    slcs,
     slcs_baseline,
     slcs_diagonal,
     slcs_witness,
@@ -403,7 +404,7 @@ def test_witness_plans_one_bit_per_cell(monkeypatch):
 def test_empty_texts_through_every_entry_point(t1, t2, f):
     # an empty prefix is row 0 of every table, so no solver needs a branch
     # of its own for an empty text
-    for solver in (slcs_baseline, slcs_diagonal):
+    for solver in (slcs_baseline, slcs_diagonal, slcs):
         stats = SolveStats()
         assert solver(t1, t2, f, stats=stats) == 0
         assert stats == SolveStats()
@@ -675,6 +676,7 @@ def test_above_oracle_cap(kind, size):
             f = size + rng.randint(-1, 2)
         answers, _ = drain_diagonal(t1, t2, f)
         assert answers == [slcs_baseline(t1, t2, h) for h in range(1, f + 1)]
+        assert slcs(t1, t2, f) == answers[-1]
         assert drain_diagonal(t2, t1, f)[0] == answers
         assert drain_diagonal(t1[::-1], t2[::-1], f)[0] == answers
         assert_witness(t1, t2, f, answers[-1])
@@ -1171,10 +1173,54 @@ def test_diagonal_solver_meets_the_paper_bound():
         f = rng.randint(1, 12)
         stats = SolveStats()
         answer = slcs_diagonal(t1, t2, f, stats=stats)
-        assert answer == slcs_baseline(t1, t2, f), (t1, t2, f)
+        assert answer == slcs_baseline(t1, t2, f) == slcs(t1, t2, f), (t1, t2, f)
         n1, n2 = sorted((len(t1), len(t2)))
         bound = max(1, min(f, n1)) * n2 * (n1 - answer + 1)
         assert stats.cell_visits <= bound, (t1, t2, f)
+
+
+@pytest.mark.parametrize("pair, f, want", [
+    ("tail-edit", 1, 1998), ("tail-edit", 4, 1998), ("tail-edit", 16, 1998),
+    ("scattered", 9, 992),
+])
+def test_slcs_keeps_the_diagonal_solver_near_copies(monkeypatch, pair, f, want):
+    # the answer is close to n, so the diagonal solver finishes within its
+    # budget (a tail edit in 2 diagonals) and the baseline never runs
+    def refuse(*args):
+        raise AssertionError("slcs fell back to the baseline")
+
+    if pair == "tail-edit":
+        t1, t2 = generate_instance((2000, 2000), alphabet=8, seed=1, similarity=2)
+    else:
+        t1, t2 = _scattered_pair(random.Random(1), 1000, 8)
+    monkeypatch.setattr(seglcs_module, "slcs_baseline", refuse)
+    assert slcs(t1, t2, f) == want
+
+
+@pytest.mark.parametrize("pair, f", [("uniform", 4), ("prefixes", 4), ("periodic", 3)])
+def test_slcs_falls_back_to_the_baseline_far_from_copies(monkeypatch, pair, f):
+    # the answer is far from n, so the diagonal solver's budget runs out and
+    # the baseline answers, once; the counters hold both solvers' work
+    t1, t2 = generate_instance((600, 600), alphabet=4, seed=1)
+    if pair == "prefixes":
+        t1, t2 = t1[:150], t2[:150]
+    elif pair == "periodic":  # "ab" repeated, and a copy with 6 "c"s
+        t1 = b"ab" * 1000
+        t2 = bytearray(t1)
+        for pos in random.Random(1).sample(range(2000), 6):
+            t2[pos] = ord("c")
+    answers = []
+
+    def baseline(*args):
+        answers.append(slcs_baseline(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(seglcs_module, "slcs_baseline", baseline)
+    stats, dense = SolveStats(), SolveStats()
+    answer = slcs(t1, t2, f, stats)
+    assert answers == [answer]
+    slcs_baseline(t1, t2, f, dense)
+    assert stats.cell_visits > dense.cell_visits
 
 
 def test_scattered_edits_pinned_at_the_paper_bound():
