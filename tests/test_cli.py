@@ -285,6 +285,8 @@ def test_usage_error_budget(capsys):
     ["seglcs", "--segments", "0"],
     ["seglcs", "--segments", "0", "--witness"],
     ["seglcs", "--segments", "0", "--dump-tables"],
+    ["seglcs", "--segments", "-1"],
+    ["indseglcs", "--f1", "-1", "--f2", "1"],
     ["indseglcs", "--f1", "0", "--f2", "1"],
     ["indseglcs", "--f1", "1", "--f2", "0"],
 ])
