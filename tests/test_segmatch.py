@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsub.oracle import min_segments_bruteforce
+from segsub import segmatch
 from segsub.segmatch import _cost_columns, _layers, min_segments, seg2_linear, sege
 
 from helpers import (
@@ -433,6 +434,29 @@ class TestSege:
             t, p = random_text(rng, 10), random_text(rng, 6)
             for f in (1, 2, 3):
                 assert sege(t, p, f) == dp_decides(t, p, f)
+        # patterns over a wider alphabet than their texts, so absent symbols occur
+        for _ in range(200):
+            t, p = random_text(rng, 10, alphabet=2), random_text(rng, 6, alphabet=4)
+            for f in (1, 2, 3, 16, 17):
+                assert sege(t, p, f) == dp_decides(t, p, f), (t, p, f)
+
+    def test_screens_answer_before_any_text_mask(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a text mask was built")
+
+        monkeypatch.setattr(segmatch, "_mask", refuse)
+        t = b"abcab" * 20
+        for f in (2, 3, 16, 17):
+            assert not sege(t, b"abxab", f), f
+            assert sege(t, t[3:13], f), f
+        assert min_segments(t, b"abxab") is None
+
+    def test_non_subsequence_skips_the_dynamic_program(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dynamic program ran")
+
+        monkeypatch.setattr(segmatch, "_dp_min_segments", refuse)
+        assert min_segments(b"ab" * 50, b"b" + b"a" * 50) is None
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
